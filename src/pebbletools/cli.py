@@ -151,8 +151,13 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str],
-          started: float) -> None:
+def _emit(args: argparse.Namespace, started: float, command: str,
+          inputs: dict, result: dict, human_lines: list[str], *,
+          states: int = 0, examined: int = 0) -> None:
+    """Print the report as JSON or as human_lines; every command ends here."""
+    payload = {"command": command, "inputs": inputs, "result": result,
+               "stats": {"states_explored": states,
+                         "distributions_examined": examined}}
     if args.timing:
         payload["stats"]["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
     if args.json:
@@ -197,30 +202,19 @@ def cmd_fopt(args: argparse.Namespace) -> int:
             value = formula_fopt_cycle(g.n)
         else:
             raise ValueError("--construct requires a path or cycle spec")
-        payload = {
-            "command": "fopt",
-            "inputs": {"spec": args.spec, "construct": True},
-            "result": {"value": value, "witness": list(dist.counts)},
-            "stats": {"states_explored": 0, "distributions_examined": 0},
-        }
         lines = [f"f_opt({args.spec}) = {value} (closed form)",
                  f"witness: {dist.format()}"]
-        _emit(args, payload, lines, started)
+        _emit(args, started, "fopt", {"spec": args.spec, "construct": True},
+              {"value": value, "witness": list(dist.counts)}, lines)
         return EXIT_OK
 
     report = optimal_pebbling_number(
         g, max_distributions=args.budget_states, **_search_kwargs(args))
-    payload = {
-        "command": "fopt",
-        "inputs": {"spec": args.spec, "construct": False},
-        "result": {"value": report.value,
-                   "witness": list(report.witness.counts)},
-        "stats": {"states_explored": 0,
-                  "distributions_examined": report.distributions_examined},
-    }
     lines = [f"f_opt({args.spec}) = {report.value}",
              f"witness: {report.witness.format()}"]
-    _emit(args, payload, lines, started)
+    _emit(args, started, "fopt", {"spec": args.spec, "construct": False},
+          {"value": report.value, "witness": list(report.witness.counts)},
+          lines, examined=report.distributions_examined)
     return EXIT_OK
 
 
@@ -229,18 +223,13 @@ def cmd_fopt(args: argparse.Namespace) -> int:
 
 
 def _verify_row(item: tuple) -> dict:
-    family, n, budget, max_vertices, max_pebbles = item
+    family, n, budget, caps = item
     if family == "path":
         g, formula = make_path(n), formula_fopt_path(n)
     else:
         g, formula = make_cycle(n), formula_fopt_cycle(n)
-    kwargs = {}
-    if max_vertices is not None:
-        kwargs["max_vertices"] = max_vertices
-    if max_pebbles is not None:
-        kwargs["max_pebbles"] = max_pebbles
     try:
-        report = optimal_pebbling_number(g, max_distributions=budget, **kwargs)
+        report = optimal_pebbling_number(g, max_distributions=budget, **caps)
     except (BudgetError, SizeLimitError) as exc:
         return {"n": n, "formula": formula, "brute_force": None,
                 "match": False, "examined": 0, "error": str(exc)}
@@ -252,8 +241,12 @@ def _verify_row(item: tuple) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     start_n = 1 if args.family == "path" else 3
-    items = [(args.family, n, args.budget_states, args.max_vertices,
-              args.max_pebbles) for n in range(start_n, args.max_n + 1)]
+    if args.max_n < start_n:
+        raise ValueError(f"--max-n must be at least {start_n} for the "
+                         f"{args.family} family, got {args.max_n}")
+    caps = _search_kwargs(args)
+    items = [(args.family, n, args.budget_states, caps)
+             for n in range(start_n, args.max_n + 1)]
     rows = _run_rows(_verify_row, items, args.jobs)
 
     budget_hit = any(row["error"] is not None for row in rows)
@@ -268,24 +261,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  [[r["n"], r["formula"], r["brute_force"], r["match"]]
                   for r in rows])
     else:
-        payload = {
-            "command": "verify",
-            "inputs": {"family": args.family, "max_n": args.max_n},
-            "result": {
-                "rows": [{"n": r["n"], "formula": r["formula"],
-                          "brute_force": r["brute_force"], "match": r["match"],
-                          "error": r["error"]} for r in rows],
-                "all_match": all_match,
-            },
-            "stats": {"states_explored": 0, "distributions_examined": examined},
-        }
         lines = [f"{'n':>4} {'formula':>8} {'brute':>6} match"]
         for r in rows:
             brute = "-" if r["brute_force"] is None else r["brute_force"]
             lines.append(f"{r['n']:>4} {r['formula']:>8} {brute:>6} "
                          f"{str(r['match']).lower()}")
         lines.append(f"all rows match: {str(all_match).lower()}")
-        _emit(args, payload, lines, started)
+        result = {"rows": [{k: r[k] for k in ("n", "formula", "brute_force",
+                                              "match", "error")} for r in rows],
+                  "all_match": all_match}
+        _emit(args, started, "verify",
+              {"family": args.family, "max_n": args.max_n}, result, lines,
+              examined=examined)
 
     if budget_hit:
         return EXIT_BUDGET
@@ -339,15 +326,6 @@ def cmd_graham(args: argparse.Namespace) -> int:
     if args.csv:
         _csv_out(header, [[r[k] for k in header] for r in rows])
     else:
-        payload = {
-            "command": "graham",
-            "inputs": {"pairs": [list(_split_pair(p)) for p in args.pairs]},
-            "result": {
-                "rows": [{k: r[k] for k in header + ["error"]} for r in rows],
-                "all_hold": all_hold,
-            },
-            "stats": {"states_explored": 0, "distributions_examined": examined},
-        }
         lines = []
         for r in rows:
             if r["error"] is not None:
@@ -359,7 +337,11 @@ def cmd_graham(args: argparse.Namespace) -> int:
                 f"{r['g']} x {r['h']}: f_opt = {r['fopt_product']} {rel} "
                 f"{r['fopt_g']}*{r['fopt_h']} = {r['bound']} -> {verdict}")
         lines.append(f"all pairs hold: {str(all_hold).lower()}")
-        _emit(args, payload, lines, started)
+        result = {"rows": [{k: r[k] for k in header + ["error"]} for r in rows],
+                  "all_hold": all_hold}
+        _emit(args, started, "graham",
+              {"pairs": [list(_split_pair(p)) for p in args.pairs]}, result,
+              lines, examined=examined)
 
     if budget_hit:
         return EXIT_BUDGET
@@ -385,21 +367,16 @@ def cmd_solvable(args: argparse.Namespace) -> int:
         witness = None
         if report.witness is not None:
             witness = [str(move) for move in report.witness]
-        payload = {
-            "command": "solvable",
-            "inputs": {"spec": args.spec, "dist": args.dist,
-                       "target": args.target},
-            "result": {"target": args.target, "reachable": report.verdict,
-                       "witness": witness},
-            "stats": {"states_explored": report.states_explored,
-                      "distributions_examined": 0},
-        }
         if report.verdict:
             moves = " ".join(witness) if witness else "(already occupied)"
             lines = [f"target {args.target} reachable: {moves}"]
         else:
             lines = [f"target {args.target} unreachable"]
-        _emit(args, payload, lines, started)
+        _emit(args, started, "solvable",
+              {"spec": args.spec, "dist": args.dist, "target": args.target},
+              {"target": args.target, "reachable": report.verdict,
+               "witness": witness},
+              lines, states=report.states_explored)
         return EXIT_OK if report.verdict else EXIT_FAILURE
 
     per_vertex = []
@@ -411,18 +388,14 @@ def cmd_solvable(args: argparse.Namespace) -> int:
         per_vertex.append({"target": t, "reachable": report.verdict})
     solvable = all(entry["reachable"] for entry in per_vertex)
     unreachable = [e["target"] for e in per_vertex if not e["reachable"]]
-    payload = {
-        "command": "solvable",
-        "inputs": {"spec": args.spec, "dist": args.dist, "target": None},
-        "result": {"solvable": solvable, "per_vertex": per_vertex},
-        "stats": {"states_explored": states, "distributions_examined": 0},
-    }
     if solvable:
         lines = [f"solvable: every vertex of {args.spec} is reachable"]
     else:
         lines = ["unsolvable: unreachable targets " +
                  ",".join(str(t) for t in unreachable)]
-    _emit(args, payload, lines, started)
+    _emit(args, started, "solvable",
+          {"spec": args.spec, "dist": args.dist, "target": None},
+          {"solvable": solvable, "per_vertex": per_vertex}, lines, states=states)
     return EXIT_OK if solvable else EXIT_FAILURE
 
 
@@ -474,16 +447,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         if not args.to_fixpoint:
             break
 
-    payload = {
-        "command": "reduce",
-        "inputs": {"spec": args.spec, "dist": args.dist,
-                   "to_fixpoint": args.to_fixpoint, "check": args.check},
-        "result": {"steps": steps,
-                   "final_graph": _family_label(g),
-                   "final_dist": list(dist.counts),
-                   "checks_passed": checks_ok if args.check else None},
-        "stats": {"states_explored": 0, "distributions_examined": 0},
-    }
+    result = {"steps": steps,
+              "final_graph": _family_label(g),
+              "final_dist": list(dist.counts),
+              "checks_passed": checks_ok if args.check else None}
     lines = []
     for step in steps:
         branch = f" (branch {step['branch']})" if step["branch"] else ""
@@ -496,9 +463,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             f"applied {step['rule']}{branch}: {step['graph_before']} "
             f"{step['before']} -> {step['graph_after']} {step['after']}"
             f"{note}; index map {mapping}")
-    lines.append(f"final: {payload['result']['final_graph']} "
-                 f"{payload['result']['final_dist']}")
-    _emit(args, payload, lines, started)
+    lines.append(f"final: {result['final_graph']} {result['final_dist']}")
+    _emit(args, started, "reduce",
+          {"spec": args.spec, "dist": args.dist,
+           "to_fixpoint": args.to_fixpoint, "check": args.check},
+          result, lines)
     if args.check and not checks_ok:
         return EXIT_FAILURE
     return EXIT_OK

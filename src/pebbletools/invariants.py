@@ -159,37 +159,6 @@ def _weight_matrix(g: Graph) -> np.ndarray:
     return w
 
 
-def _resolve_symmetry(g: Graph, symmetry: str | None) -> str | None:
-    if symmetry == "auto":
-        label = g.label or ""
-        if label.startswith("path:"):
-            return "path"
-        if label.startswith("cycle:"):
-            return "cycle"
-        return None
-    if symmetry in (None, "none"):
-        return None
-    if symmetry == "path":
-        if not is_canonical_path(g):
-            raise ValueError("path symmetry requires a canonically indexed path")
-        return "path"
-    if symmetry == "cycle":
-        if not is_canonical_cycle(g):
-            raise ValueError("cycle symmetry requires a canonically indexed cycle")
-        return "cycle"
-    raise ValueError(f"unknown symmetry {symmetry!r}")
-
-
-def _charge(counters: dict, amount: int) -> None:
-    counters["examined"] += amount
-    budget = counters.get("budget")
-    if budget is not None and counters["examined"] > budget:
-        raise BudgetError(
-            f"distribution budget {budget} exhausted",
-            lower_bound=counters.get("lower_bound"),
-            examined=counters["examined"])
-
-
 def _layer_masks(chunk_float: np.ndarray, weights: np.ndarray):
     """Exact unsolvable/solvable masks for a chunk of distributions."""
     potentials = chunk_float @ weights.T
@@ -201,65 +170,68 @@ def _layer_masks(chunk_float: np.ndarray, weights: np.ndarray):
     return candidate, accept
 
 
-def _first_solvable_in_layer(g: Graph, k: int, symmetry: str | None,
-                             counters: dict, engine_caps: dict) -> tuple | None:
-    """First solvable distribution of size k in colex order, or None.
+def _orbit_filter(g: Graph):
+    """Orbit-representative test for g's rows, chosen from its edges.
 
-    With symmetry, only orbit representatives count as witnesses; skipped
-    orbit mates are covered by their representative elsewhere in the layer.
+    Only the canonically indexed path and cycle have a known automorphism
+    group whose orbits the search can skip; every other graph, however
+    it is labelled, is searched unfiltered.
     """
-    rows = compositions_array(k, g.n)
-    weights = counters["weights"]
-    if symmetry == "path":
-        canonical = is_path_canonical
-    elif symmetry == "cycle":
-        canonical = is_cycle_canonical
-    else:
-        canonical = None
-    total = rows.shape[0]
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        _charge(counters, stop - start)
-        chunk_float = rows[start:stop].astype(np.float64)
-        candidate, accept = _layer_masks(chunk_float, weights)
-        for i in np.flatnonzero(candidate):
-            row = tuple(int(x) for x in rows[start + int(i)])
-            if canonical is not None and not canonical(row):
-                continue
-            if accept[i]:
-                return row
-            if is_solvable(g, Distribution(row), **engine_caps):
-                return row
+    if is_canonical_path(g):
+        return is_path_canonical
+    if is_canonical_cycle(g):
+        return is_cycle_canonical
     return None
 
 
-def _first_unsolvable_in_layer(g: Graph, k: int,
-                               counters: dict, engine_caps: dict) -> tuple | None:
-    """First unsolvable distribution of size k in colex order, or None."""
-    rows = compositions_array(k, g.n)
-    weights = counters["weights"]
-    total = rows.shape[0]
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        _charge(counters, stop - start)
-        chunk_float = rows[start:stop].astype(np.float64)
-        candidate, accept = _layer_masks(chunk_float, weights)
-        for i in range(stop - start):
-            if not candidate[i]:
-                return tuple(int(x) for x in rows[start + i])
-            if accept[i]:
-                continue
-            row = tuple(int(x) for x in rows[start + i])
-            if not is_solvable(g, Distribution(row), **engine_caps):
-                return row
-    return None
+class _LayerScanner:
+    """Scans size-k layers of a graph's distributions in colex order.
+
+    Rows are charged against the budget a whole chunk at a time, before the
+    chunk is screened, so `examined` counts every row the search touched.
+    """
+
+    def __init__(self, g: Graph, budget: int | None, engine_caps: dict,
+                 canonical=None):
+        self.g = g
+        self.budget = budget
+        self.engine_caps = engine_caps
+        self.canonical = canonical
+        self.weights = _weight_matrix(g)
+        self.examined = 0
+
+    def first(self, k: int, solvable: bool) -> tuple | None:
+        """First row of size k whose verdict is `solvable`, or None.
+
+        A solvable row must pass the reject filter and is decided by the
+        accept filter; an unsolvable row must fail the accept filter and is
+        decided by the reject filter.  With an orbit filter only orbit
+        representatives count; their orbit mates are covered by their
+        representative elsewhere in the layer.
+        """
+        rows = compositions_array(k, self.g.n)
+        for start in range(0, rows.shape[0], _CHUNK):
+            chunk = rows[start:start + _CHUNK]
+            self.examined += chunk.shape[0]
+            if self.budget is not None and self.examined > self.budget:
+                raise BudgetError(f"distribution budget {self.budget} exhausted",
+                                  lower_bound=k, examined=self.examined)
+            candidate, accept = _layer_masks(chunk.astype(np.float64), self.weights)
+            visit, decided = (candidate, accept) if solvable else (~accept, ~candidate)
+            for i in np.flatnonzero(visit):
+                row = tuple(int(x) for x in chunk[i])
+                if self.canonical is not None and not self.canonical(row):
+                    continue
+                if decided[i] or is_solvable(self.g, Distribution(row),
+                                             **self.engine_caps) == solvable:
+                    return row
+        return None
 
 
 def optimal_pebbling_number(g: Graph, *,
                             max_vertices: int = MAX_ENGINE_VERTICES,
                             max_pebbles: int = MAX_ENGINE_PEBBLES,
-                            max_distributions: int | None = None,
-                            symmetry: str | None = "auto") -> NumberReport:
+                            max_distributions: int | None = None) -> NumberReport:
     """Smallest k admitting a solvable distribution of size k.
 
     Searches sizes 1, 2, ... exhaustively, so the reported value is exact.
@@ -270,16 +242,15 @@ def optimal_pebbling_number(g: Graph, *,
         raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
     if not g.is_connected():
         raise ValueError("graph is disconnected; no distribution is solvable")
-    sym = _resolve_symmetry(g, symmetry)
-    engine_caps = {"max_vertices": max_vertices, "max_pebbles": max_pebbles}
-    counters = {"examined": 0, "budget": max_distributions,
-                "lower_bound": 1, "weights": _weight_matrix(g)}
+    scanner = _LayerScanner(
+        g, max_distributions,
+        {"max_vertices": max_vertices, "max_pebbles": max_pebbles},
+        _orbit_filter(g))
     for k in range(1, max_pebbles + 1):
-        counters["lower_bound"] = k
-        row = _first_solvable_in_layer(g, k, sym, counters, engine_caps)
+        row = scanner.first(k, solvable=True)
         if row is not None:
             return NumberReport("optimal_pebbling", k, Distribution(row),
-                                counters["examined"])
+                                scanner.examined)
     raise SizeLimitError(
         f"no solvable distribution of size <= {max_pebbles} found")
 
@@ -298,19 +269,16 @@ def pebbling_number(g: Graph, *,
         raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
     if not g.is_connected():
         raise ValueError("graph is disconnected; no distribution is solvable")
-    engine_caps = {"max_vertices": max(g.n, MAX_ENGINE_VERTICES),
-                   "max_pebbles": max(max_value, MAX_ENGINE_PEBBLES)}
-    counters = {"examined": 0, "budget": max_distributions,
-                "lower_bound": 1, "weights": _weight_matrix(g)}
+    scanner = _LayerScanner(
+        g, max_distributions,
+        {"max_vertices": max(g.n, MAX_ENGINE_VERTICES),
+         "max_pebbles": max(max_value, MAX_ENGINE_PEBBLES)})
     witness = Distribution((0,) * g.n)
-    size = 1
-    while size <= max_value:
-        counters["lower_bound"] = size
-        row = _first_unsolvable_in_layer(g, size, counters, engine_caps)
+    for size in range(1, max_value + 1):
+        row = scanner.first(size, solvable=False)
         if row is None:
-            return NumberReport("pebbling", size, witness, counters["examined"])
+            return NumberReport("pebbling", size, witness, scanner.examined)
         witness = Distribution(row)
-        size += 1
     raise SizeLimitError(f"pebbling number exceeds cap {max_value}")
 
 

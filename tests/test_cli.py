@@ -1,11 +1,15 @@
 """Tests for the command-line interface: grammar, commands, output, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from pebbletools.cli import main, parse_graph_spec
 from pebbletools import formula_fopt_path, make_cycle, make_path
+
+# Pinned --json bytes: any difference is a change to the output format.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -164,6 +168,35 @@ def test_verify_budget_annotates_and_exits_3(capsys):
     payload = json.loads(out)
     flagged = [row for row in payload["result"]["rows"] if row["error"]]
     assert flagged and "n=" in err
+
+
+@pytest.mark.parametrize("family,max_n", [("cycle", "2"), ("path", "0")])
+def test_verify_empty_family_range_exit_2(capsys, family, max_n):
+    code, out, err = run(capsys, "verify", family, "--max-n", max_n, "--json")
+    assert code == 2
+    assert out == ""
+    assert "--max-n" in err
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["verify", "cycle", "--max-n", "6", "--json"], "verify_cycle_6.json"),
+    (["fopt", "cycle:5", "--json"], "fopt_cycle_5.json"),
+])
+def test_json_bytes_match_golden(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_fopt_file_spec_matches_family_spec(capsys, tmp_path):
+    path = tmp_path / "c4.edges"
+    path.write_text("4\n0 1\n1 2\n2 3\n3 0\n")
+    _, from_file, _ = run(capsys, "fopt", f"file:{path}", "--json")
+    _, from_family, _ = run(capsys, "fopt", "cycle:4", "--json")
+    file_payload, family_payload = json.loads(from_file), json.loads(from_family)
+    assert file_payload["result"] == family_payload["result"]
+    assert file_payload["stats"] == family_payload["stats"]
+    assert file_payload["result"]["witness"] == [0, 1, 0, 2]
 
 
 # ---------------------------------------------------------------------------

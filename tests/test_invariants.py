@@ -139,17 +139,34 @@ def test_optimal_number_deterministic():
 
 
 def test_optimal_number_symmetry_off_agrees_on_value():
+    # a relabelled copy is not canonically indexed, so no orbit is skipped
     for g in (make_path(6), make_cycle(6)):
+        perm = [3, 0, 4, 1, 5, 2]
+        copy = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         with_sym = optimal_pebbling_number(g)
-        without = optimal_pebbling_number(g, symmetry=None)
+        without = optimal_pebbling_number(copy)
         assert with_sym.value == without.value
-        assert is_solvable(g, without.witness)
+        assert is_solvable(copy, without.witness)
 
 
-def test_optimal_number_unlabeled_graph_no_dedup():
-    # same structure as C5 but built raw: auto symmetry must not engage
-    raw = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert optimal_pebbling_number(raw).value == CYCLE_VALUES[5]
+def test_optimal_number_orbit_filter_follows_structure():
+    # an unlabelled C5 indexed like make_cycle gets the same orbit filter
+    raw_c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert optimal_pebbling_number(raw_c5) == optimal_pebbling_number(make_cycle(5))
+
+
+def test_optimal_number_ignores_misleading_label():
+    # a star labelled as a path must not be searched with path symmetry
+    star = Graph(3, [(0, 1), (0, 2)], label="path:3")
+    report = optimal_pebbling_number(star)
+    assert report.value == 2
+    assert is_solvable(star, report.witness)
+
+
+def test_optimal_number_pinned_path_12():
+    report = optimal_pebbling_number(make_path(12))
+    assert (report.value, report.witness.format(), report.distributions_examined) \
+        == (8, "0,2,0,0,2,0,0,2,0,0,2,0", 115923)
 
 
 def test_optimal_number_rejects_disconnected():
@@ -186,6 +203,12 @@ def test_pebbling_number_values_and_witnesses():
         assert report.witness.counts == witness
         assert report.witness.size == value - 1
         assert not is_solvable(g, report.witness)
+
+
+def test_pebbling_number_pinned_cycle_7():
+    report = pebbling_number(make_cycle(7))
+    assert (report.value, report.witness.format(), report.distributions_examined) \
+        == (11, "5,5,0,0,0,0,0", 31823)
 
 
 def test_pebbling_number_trivial_graph():
