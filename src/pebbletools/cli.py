@@ -284,7 +284,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _graham_row(item: tuple) -> dict:
-    pair, budget, max_vertices = item
+    pair, budget, caps = item
     spec_g, spec_h = _split_pair(pair)
     base = {"g": spec_g, "h": spec_h, "fopt_g": None, "fopt_h": None,
             "fopt_product": None, "bound": None, "holds": None,
@@ -292,10 +292,7 @@ def _graham_row(item: tuple) -> dict:
     try:
         g = parse_graph_spec(spec_g)
         h = parse_graph_spec(spec_h)
-        kwargs = {}
-        if max_vertices is not None:
-            kwargs["max_product_vertices"] = max_vertices
-        check = graham_optimal_check(g, h, max_distributions=budget, **kwargs)
+        check = graham_optimal_check(g, h, max_distributions=budget, **caps)
     except (BudgetError, SizeLimitError) as exc:
         base["error"] = str(exc)
         return base
@@ -310,8 +307,8 @@ def cmd_graham(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     for pair in args.pairs:
         _split_pair(pair)  # surface malformed pairs as usage errors up front
-    items = [(pair, args.budget_states, args.max_vertices)
-             for pair in args.pairs]
+    caps = _search_kwargs(args)
+    items = [(pair, args.budget_states, caps) for pair in args.pairs]
     rows = _run_rows(_graham_row, items, args.jobs)
 
     budget_hit = any(row["error"] is not None for row in rows)
@@ -488,10 +485,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cap on distribution size (default 64)")
     shared.add_argument("--max-vertices", type=int, default=None, metavar="N",
                         help="cap on vertex count for exact search "
-                             "(default 20; 16 for graham products)")
+                             "(default 20; 16 for every graham search)")
     shared.add_argument("--budget-states", type=int, default=None, metavar="N",
                         help="abort after exploring/examining N states or "
-                             "distributions (default unlimited)")
+                             "distributions (default unlimited); solvable "
+                             "applies it to each target's search separately")
 
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--csv", action="store_true",

@@ -5,14 +5,17 @@ an adjacent vertex.  A vertex t is *reachable* from a distribution if some
 move sequence (possibly empty) ends with a pebble on t; a distribution is
 *solvable* if every vertex is reachable.
 
-The decision procedure is a depth-first search over distribution states
-(each move strictly decreases the pebble count, so the state graph is a
-DAG) with two exact ingredients:
+Every query is one search: can moves put `need` pebbles on t?  Reachability
+asks it with need 1; `max_pebbles_to` raises the need until it fails.  The
+search is depth-first over distribution states on an explicit stack (each
+move strictly decreases the pebble count, so the state graph is a DAG and
+its depth is bounded by the pebble count, not by the recursion limit),
+with two exact ingredients:
 
 * memoization of failed states, keyed on the full count vector, and
 * a weight-function prune: with integer weights 2^(D - dist(v, t)) a move
-  never increases the total weight, and a pebble on t alone weighs 2^D, so
-  any state of total weight below 2^D is hopeless and is cut immediately.
+  never increases the total weight, and `need` pebbles on t weigh
+  need * 2^D, so any state of lower total weight is cut immediately.
 
 Both are sound, so verdicts are exact.  Witness move sequences are the
 first found under a fixed order (sources ascending, then neighbors
@@ -22,6 +25,7 @@ ascending), which makes all outputs deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 from .errors import BudgetError, IllegalMoveError, ReplayError, SizeLimitError
 from .graphs import Graph, is_canonical_path
@@ -109,14 +113,6 @@ class SolveReport:
 # moves
 
 
-def _moved(state: tuple[int, ...], v: int, u: int) -> tuple[int, ...]:
-    if v < u:
-        return (state[:v] + (state[v] - 2,) + state[v + 1:u]
-                + (state[u] + 1,) + state[u + 1:])
-    return (state[:u] + (state[u] + 1,) + state[u + 1:v]
-            + (state[v] - 2,) + state[v + 1:])
-
-
 def apply_move(g: Graph, d: Distribution, m: Move) -> Distribution:
     """Apply one move, returning a new distribution."""
     if not (0 <= m.source < g.n and 0 <= m.target < g.n):
@@ -126,7 +122,10 @@ def apply_move(g: Graph, d: Distribution, m: Move) -> Distribution:
             f"move {m}: source has {d.counts[m.source]} pebbles, needs 2")
     if not g.has_edge(m.source, m.target):
         raise IllegalMoveError(f"move {m}: vertices are not adjacent")
-    return Distribution(_moved(d.counts, m.source, m.target))
+    counts = list(d.counts)
+    counts[m.source] -= 2
+    counts[m.target] += 1
+    return Distribution(counts)
 
 
 def replay(g: Graph, d: Distribution, moves: MoveSequence) -> Distribution:
@@ -144,8 +143,8 @@ def replay(g: Graph, d: Distribution, moves: MoveSequence) -> Distribution:
 # reachability
 
 
-def _check_engine_inputs(g: Graph, d: Distribution,
-                         max_vertices: int, max_pebbles: int) -> None:
+def _check_engine_inputs(g: Graph, d: Distribution, max_vertices: int,
+                         max_pebbles: int, target: int = 0) -> None:
     if len(d.counts) != g.n:
         raise ValueError(f"distribution has {len(d.counts)} entries, "
                          f"graph has {g.n} vertices")
@@ -153,65 +152,96 @@ def _check_engine_inputs(g: Graph, d: Distribution,
         raise SizeLimitError(f"{g.n} vertices exceeds engine cap {max_vertices}")
     if d.size > max_pebbles:
         raise SizeLimitError(f"{d.size} pebbles exceeds engine cap {max_pebbles}")
+    if not 0 <= target < g.n:
+        raise ValueError(f"target {target} out of range for {g.n} vertices")
 
 
-def _target_weights(g: Graph, target: int) -> tuple[list[int], int]:
-    """Integer weights 2^(D - dist(v, target)) and the threshold 2^D."""
-    dist = g.distances_from(target)
-    depth = max(dist)
-    weights = [0 if dv < 0 else 1 << (depth - dv) for dv in dist]
-    return weights, depth
+def _search_tables(g: Graph, width: int) -> tuple[list, tuple]:
+    """What every search on g with states packed `width` bits per vertex
+    needs.  Per target t: the weights 2^(D - dist(v, t)) and the depth D.
+    Per vertex v: v, a mask nonzero when v holds two or more pebbles, and
+    per neighbour u the pair (u, amount the move v->u subtracts)."""
+    weights = []
+    for t in range(g.n):
+        dist = g.distances_from(t)
+        depth = max(dist)
+        weights.append(([0 if dv < 0 else 1 << (depth - dv) for dv in dist], depth))
+    unit = [1 << v * width for v in range(g.n)]
+    high = (1 << width) - 2
+    return weights, tuple([(v, high * unit[v],
+                            tuple([(u, 2 * unit[v] - unit[u]) for u in g.neighbors(v)]))
+                           for v in range(g.n)])
+
+
+def _reach(g: Graph, counts: tuple[int, ...], target: int, need: int,
+           state_budget: int | None) -> tuple[list[tuple[int, int]] | None, int]:
+    """The first moves, as (source, target) pairs, that put `need` pebbles
+    on `target`, or None; and the number of states expanded.
+
+    A state is one integer, each count in whole bytes wide enough for the
+    total, vertex 0 lowest, so a move is one subtraction.  A stack frame
+    holds a state, the generator of its moves and the move that led to it:
+    the moves on the stack are the witness.  A state with `need` on the
+    target passes the prune and is never in the memo, so it ends the search.
+    """
+    if counts[target] >= need:
+        return [], 0
+    size = sum(counts).bit_length() // 8 + 1
+    by_target, sources = g.derived(_search_tables, 8 * size)
+    weights, depth = by_target[target]
+    threshold = need << depth
+    potential = sum(c * w for c, w in zip(counts, weights))
+    if potential < threshold:
+        return None, 0
+    shift, field = 8 * size * target, (1 << 8 * size) - 1
+    failed: set[int] = set()
+    states = 0
+
+    def children(state: int, pot: int):
+        """Expand `state`: yield its moves that pass the prune and the memo."""
+        nonlocal states
+        states += 1
+        if state_budget is not None and states > state_budget:
+            raise BudgetError(f"reachability search exceeded {state_budget} states",
+                              examined=states)
+        for v, two_or_more, moves in sources:
+            if state & two_or_more:
+                base = pot - 2 * weights[v]
+                for u, delta in moves:
+                    child, child_pot = state - delta, base + weights[u]
+                    if child_pot >= threshold and child not in failed:
+                        yield (v, u), child, child_pot
+
+    packed = bytes(counts) if size == 1 else b"".join(
+        c.to_bytes(size, "little") for c in counts)
+    root = int.from_bytes(packed, "little")
+    stack = [(root, children(root, potential), None)]
+    while stack:
+        state, pending, _ = stack[-1]
+        step = next(pending, None)
+        if step is None:
+            failed.add(state)
+            stack.pop()
+            continue
+        move, child, child_pot = step
+        if child >> shift & field == need:
+            return [frame[2] for frame in stack[1:]] + [move], states
+        stack.append((child, children(child, child_pot), move))
+    return None, states
 
 
 def is_reachable(g: Graph, d: Distribution, target: int, *,
                  max_vertices: int = MAX_ENGINE_VERTICES,
                  max_pebbles: int = MAX_ENGINE_PEBBLES,
                  state_budget: int | None = None) -> SolveReport:
-    """Decide whether some move sequence puts a pebble on `target`."""
-    _check_engine_inputs(g, d, max_vertices, max_pebbles)
-    if not 0 <= target < g.n:
-        raise ValueError(f"target {target} out of range for {g.n} vertices")
-    counts = d.counts
-    if counts[target] >= 1:
-        return SolveReport(True, (), 0)
+    """Decide whether some move sequence puts a pebble on `target`.
 
-    weights, depth = _target_weights(g, target)
-    threshold = 1 << depth
-    potential = sum(c * w for c, w in zip(counts, weights))
-    if potential < threshold:
-        return SolveReport(False, None, 0)
-
-    n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
-    failed: set[tuple[int, ...]] = set()
-    states = 0
-
-    def search(state: tuple[int, ...], pot: int) -> MoveSequence | None:
-        nonlocal states
-        states += 1
-        if state_budget is not None and states > state_budget:
-            raise BudgetError(f"reachability search exceeded {state_budget} states",
-                              examined=states)
-        for v in range(n):
-            if state[v] < 2:
-                continue
-            loss = 2 * weights[v]
-            for u in nbrs[v]:
-                if u == target:
-                    return (Move(v, u),)
-                child_pot = pot - loss + weights[u]
-                if child_pot < threshold:
-                    continue
-                child = _moved(state, v, u)
-                if child in failed:
-                    continue
-                tail = search(child, child_pot)
-                if tail is not None:
-                    return (Move(v, u),) + tail
-                failed.add(child)
-        return None
-
-    witness = search(counts, potential)
+    `state_budget` caps the states this one search expands; past it the
+    search raises `BudgetError`.
+    """
+    _check_engine_inputs(g, d, max_vertices, max_pebbles, target)
+    moves, states = _reach(g, d.counts, target, 1, state_budget)
+    witness = None if moves is None else tuple(starmap(Move, moves))
     return SolveReport(witness is not None, witness, states)
 
 
@@ -224,26 +254,17 @@ def is_solvable(g: Graph, d: Distribution, *,
     Starts with a cheap sufficient test (every vertex occupied or next to a
     vertex holding two or more pebbles); falls back to per-target search,
     targets in increasing index with early exit on the first failure.
+    `state_budget` applies to each target's search separately, not to
+    their total.
     """
     _check_engine_inputs(g, d, max_vertices, max_pebbles)
     counts = d.counts
-    covered = True
-    for v in range(g.n):
-        if counts[v] >= 1:
-            continue
-        if not any(counts[u] >= 2 for u in g.neighbors(v)):
-            covered = False
-            break
-    if covered:
+    if all(counts[v] or any(counts[u] >= 2 for u in g.neighbors(v))
+           for v in range(g.n)):
         return True
-    for t in range(g.n):
-        if counts[t] >= 1:
-            continue
-        report = is_reachable(g, d, t, max_vertices=max_vertices,
-                              max_pebbles=max_pebbles, state_budget=state_budget)
-        if not report.verdict:
-            return False
-    return True
+    return all(counts[t] or is_reachable(
+        g, d, t, max_vertices=max_vertices, max_pebbles=max_pebbles,
+        state_budget=state_budget).verdict for t in range(g.n))
 
 
 def max_pebbles_to(g: Graph, d: Distribution, target: int, *,
@@ -251,44 +272,14 @@ def max_pebbles_to(g: Graph, d: Distribution, target: int, *,
                    max_pebbles: int = MAX_ENGINE_PEBBLES) -> int:
     """Largest pebble count any move sequence can accumulate on `target`.
 
-    Exact branch-and-bound: the weight function gives the admissible upper
-    bound floor(potential / 2^D), and exploration of a state stops as soon
-    as its best found value meets that bound.
+    Raises the demand one pebble at a time from the target's own count
+    until the reachability search fails; the last demand met is exact.
     """
-    _check_engine_inputs(g, d, max_vertices, max_pebbles)
-    if not 0 <= target < g.n:
-        raise ValueError(f"target {target} out of range for {g.n} vertices")
-
-    weights, depth = _target_weights(g, target)
-    n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
-    memo: dict[tuple[int, ...], int] = {}
-
-    def best(state: tuple[int, ...], pot: int) -> int:
-        current = state[target]
-        bound = pot >> depth
-        if bound <= current:
-            return current
-        achieved = current
-        for v in range(n):
-            if state[v] < 2:
-                continue
-            loss = 2 * weights[v]
-            for u in nbrs[v]:
-                child_pot = pot - loss + weights[u]
-                child = _moved(state, v, u)
-                value = memo.get(child)
-                if value is None:
-                    value = best(child, child_pot)
-                    memo[child] = value
-                if value > achieved:
-                    achieved = value
-                    if achieved >= bound:
-                        return achieved
-        return achieved
-
-    potential = sum(c * w for c, w in zip(d.counts, weights))
-    return best(d.counts, potential)
+    _check_engine_inputs(g, d, max_vertices, max_pebbles, target)
+    need = d.counts[target] + 1
+    while _reach(g, d.counts, target, need, None)[0] is not None:
+        need += 1
+    return need - 1
 
 
 def max_pebbles_to_path_greedy(g: Graph, d: Distribution, target: int) -> int:

@@ -1,13 +1,14 @@
 """Simple undirected graphs with dense integer vertices.
 
 Vertices are always 0..n-1.  Graphs are immutable once built and safe to
-share between threads; derived data (BFS distances) is cached lazily.
+share between threads; derived data (BFS distances, the engine's move
+tables) is computed on first use and kept with the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import SizeLimitError, StructureError, UnsupportedDegreeError
 
@@ -23,7 +24,7 @@ class Graph:
     excluded from equality.
     """
 
-    __slots__ = ("n", "label", "_nbrs", "_bits", "_m", "_dist_cache")
+    __slots__ = ("n", "label", "_nbrs", "_bits", "_m", "_derived")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  label: str | None = None):
@@ -48,7 +49,7 @@ class Graph:
             bits.append(row)
         self._bits = tuple(bits)
         self._m = sum(len(s) for s in sets) // 2
-        self._dist_cache: dict[int, tuple[int, ...]] = {}
+        self._derived: dict[tuple, object] = {}
 
     @property
     def edge_count(self) -> int:
@@ -70,11 +71,19 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
+    def derived(self, build: Callable, *args):
+        """build(self, *args), computed on first use and kept with the
+        graph; for values that depend on its structure and args alone."""
+        key = (build, *args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
+
     def distances_from(self, source: int) -> tuple[int, ...]:
         """BFS distances from `source`; -1 marks unreachable vertices."""
-        cached = self._dist_cache.get(source)
-        if cached is not None:
-            return cached
+        return self.derived(Graph._bfs, source)
+
+    def _bfs(self, source: int) -> tuple[int, ...]:
         dist = [-1] * self.n
         dist[source] = 0
         queue = deque([source])
@@ -85,9 +94,7 @@ class Graph:
                 if dist[w] < 0:
                     dist[w] = du + 1
                     queue.append(w)
-        result = tuple(dist)
-        self._dist_cache[source] = result
-        return result
+        return tuple(dist)
 
     def is_connected(self) -> bool:
         return -1 not in self.distances_from(0)

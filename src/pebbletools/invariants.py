@@ -297,13 +297,16 @@ def product_distribution(dg: Distribution, dh: Distribution) -> Distribution:
 
 
 def graham_optimal_check(g: Graph, h: Graph, *,
-                         max_product_vertices: int = MAX_GRAHAM_PRODUCT_VERTICES,
+                         max_vertices: int = MAX_GRAHAM_PRODUCT_VERTICES,
+                         max_pebbles: int = MAX_ENGINE_PEBBLES,
                          max_distributions: int | None = None) -> GrahamCheck:
-    """Test f_opt(G x H) <= f_opt(G) * f_opt(H) by exact computation."""
-    prod = cartesian_product(g, h, max_vertices=max_product_vertices)
-    report_g = optimal_pebbling_number(g, max_distributions=max_distributions)
-    report_h = optimal_pebbling_number(h, max_distributions=max_distributions)
-    report_p = optimal_pebbling_number(prod, max_distributions=max_distributions)
+    """Test f_opt(G x H) <= f_opt(G) * f_opt(H) by exact computation; the
+    caps apply to all three searches, the product being the largest."""
+    prod = cartesian_product(g, h, max_vertices=max_vertices)
+    caps = {"max_vertices": max_vertices, "max_pebbles": max_pebbles,
+            "max_distributions": max_distributions}
+    report_g, report_h, report_p = (optimal_pebbling_number(x, **caps)
+                                    for x in (g, h, prod))
     bound = report_g.value * report_h.value
     return GrahamCheck(
         fopt_g=report_g.value,

@@ -8,10 +8,12 @@ import pytest
 from pebbletools.cli import main, parse_graph_spec
 from pebbletools import (
     Distribution,
+    Move,
     SurgeryResult,
     formula_fopt_path,
     make_cycle,
     make_path,
+    replay,
 )
 
 # Pinned --json bytes: any difference is a change to the output format.
@@ -245,6 +247,16 @@ def test_graham_oversized_product_exit_3(capsys):
     assert code == 3
 
 
+def test_graham_pebble_cap_exit_3(capsys):
+    """--max-pebbles reaches graham's searches as it reaches fopt's."""
+    code, _, err = run(capsys, "graham", "path:3,path:3", "--max-pebbles", "2")
+    assert code == 3 and "size <= 2" in err
+    code, _, _ = run(capsys, "fopt", "product(path:3,path:3)", "--max-pebbles", "2")
+    assert code == 3
+    code, _, _ = run(capsys, "graham", "path:3,path:3", "--max-pebbles", "4")
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # solvable
 
@@ -292,6 +304,18 @@ def test_solvable_budget_exit_3(capsys):
     code, _, _ = run(capsys, "solvable", "path:4", "--dist", "8,0,0,0",
                      "--target", "3", "--budget-states", "1")
     assert code == 3
+
+
+def test_solvable_deep_witness_exit_0(capsys):
+    """A witness of 2,047 moves is found and printed, not a RecursionError."""
+    dist = ",".join(["0"] * 11 + ["2048"])
+    code, out, _ = run(capsys, "solvable", "path:12", "--dist", dist,
+                       "--target", "0", "--max-pebbles", "4096", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    moves = [Move(*map(int, m.split("->"))) for m in payload["result"]["witness"]]
+    assert len(moves) == 2047
+    assert replay(make_path(12), Distribution.parse(dist), tuple(moves))[0] == 1
 
 
 def test_solvable_file_spec(capsys, tmp_path):

@@ -217,6 +217,47 @@ def test_reachability_length_mismatch():
         is_reachable(make_path(3), Distribution((1, 0)), 0)
 
 
+# Pinned searches: a different verdict, witness or states_explored means the
+# move order, the prune or the memo changed.
+CEILING_CYCLE = (make_cycle(12),
+                 Distribution((4, 2, 0, 0, 0, 0, 0, 4, 4, 4, 2, 3)), 4)
+CEILING_PATH = (make_path(12),
+                Distribution((4, 5, 1, 3, 7, 1, 0, 0, 3, 0, 0, 1)), 10)
+
+
+@pytest.mark.parametrize("query, states", [(CEILING_CYCLE, 82258),
+                                           (CEILING_PATH, 32286)])
+def test_reachability_pinned_unreachable_state_counts(query, states):
+    report = is_reachable(*query)
+    assert (report.verdict, report.witness, report.states_explored) == (
+        False, None, states)
+
+
+def test_reachability_pinned_witness():
+    report = is_reachable(make_cycle(7), Distribution((3, 0, 1, 0, 0, 2, 1)), 3)
+    assert report.verdict is True
+    assert report.states_explored == 7
+    assert " ".join(str(m) for m in report.witness) == "0->1 5->6 6->0 0->1 1->2 2->3"
+
+
+@pytest.mark.parametrize("budget", [0, 100])
+def test_reachability_budget_counts_the_root(budget):
+    """The root is the first state expanded, so a budget of b stops at b + 1."""
+    with pytest.raises(BudgetError) as excinfo:
+        is_reachable(*CEILING_CYCLE, state_budget=budget)
+    assert excinfo.value.examined == budget + 1
+    assert str(excinfo.value) == f"reachability search exceeded {budget} states"
+
+
+def test_reachability_deep_witness_does_not_recurse():
+    """2,047 moves carry 2,048 pebbles down path:12; no recursion limit."""
+    g = make_path(12)
+    d = Distribution((0,) * 11 + (2048,))
+    report = is_reachable(g, d, 0, max_pebbles=4096)
+    assert report.verdict is True and len(report.witness) == 2047
+    assert replay(g, d, report.witness)[0] == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_reachability_matches_naive_reference(data):
@@ -280,6 +321,14 @@ def test_max_pebbles_to_examples():
     assert max_pebbles_to(g, Distribution((4, 0, 1)), 2) == 2
     assert max_pebbles_to(g, Distribution((0, 0, 3)), 2) == 3
     assert max_pebbles_to(g, Distribution((1, 1, 0)), 2) == 0
+
+
+def test_max_pebbles_to_deep_inputs():
+    deep = Distribution((0,) * 11 + (2048,))
+    assert max_pebbles_to(make_path(12), deep, 0, max_pebbles=4096) == 1
+    g, d = make_path(2), Distribution((0, 600))
+    assert max_pebbles_to(g, d, 0, max_pebbles=600) == 300
+    assert max_pebbles_to_path_greedy(g, d, 0) == 300
 
 
 def test_greedy_transport_frozen_examples():
