@@ -436,7 +436,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             "solvable_after": None,
         }
         if args.check:
-            ok = is_solvable(result.graph_after, result.dist_after, **kwargs)
+            ok = is_solvable(result.graph_after, result.dist_after,
+                             state_budget=args.budget_states, **kwargs)
             step["solvable_after"] = ok
             checks_ok = checks_ok and ok
         steps.append(step)

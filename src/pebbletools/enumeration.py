@@ -5,6 +5,11 @@ colexicographic order: the last coordinate varies slowest.  The pure
 generator and the vectorized array builder produce identical orders, and
 all searches report the first witness under this order, which pins down
 every output byte-for-byte.
+
+The orbit representatives of the path's reversal and of the cycle's
+rotations and reflections are tested per row (`is_path_canonical`,
+`is_cycle_canonical`) or for a whole array of rows at once
+(`path_canonical_mask`, `cycle_canonical_mask`).
 """
 
 from __future__ import annotations
@@ -36,24 +41,19 @@ def compositions_array(total: int, length: int) -> np.ndarray:
     if total < 0:
         raise ValueError("total must be non-negative")
     level = [np.array([[j]], dtype=np.int16) for j in range(total + 1)]
-    for m in range(2, length):
-        nxt = []
-        for j in range(total + 1):
-            blocks = []
-            for last in range(j + 1):
-                sub = level[j - last]
-                col = np.full((sub.shape[0], 1), last, dtype=np.int16)
-                blocks.append(np.hstack([sub, col]))
-            nxt.append(np.vstack(blocks) if len(blocks) > 1 else blocks[0])
-        level = nxt
-    if length == 1:
-        return level[total]
-    blocks = []
-    for last in range(total + 1):
-        sub = level[total - last]
-        col = np.full((sub.shape[0], 1), last, dtype=np.int16)
-        blocks.append(np.hstack([sub, col]))
-    return np.vstack(blocks) if len(blocks) > 1 else blocks[0]
+    for _ in range(2, length):
+        level = [_append_last(level, j) for j in range(total + 1)]
+    return level[total] if length == 1 else _append_last(level, total)
+
+
+def _append_last(level: list[np.ndarray], total: int) -> np.ndarray:
+    """Rows of length m + 1 summing to total, from level[j] (length m, sum j)."""
+    heads = [level[total - last] for last in range(total + 1)]
+    sizes = [h.shape[0] for h in heads]
+    out = np.empty((sum(sizes), heads[0].shape[1] + 1), dtype=np.int16)
+    np.concatenate(heads, out=out[:, :-1])
+    out[:, -1] = np.repeat(np.arange(total + 1, dtype=np.int16), sizes)
+    return out
 
 
 def is_path_canonical(counts: tuple[int, ...]) -> bool:
@@ -74,3 +74,38 @@ def is_cycle_canonical(counts: tuple[int, ...]) -> bool:
         if doubled[s:s + n] < counts:
             return False
     return True
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a < b in lexicographic order: the first nonzero of a - b."""
+    diff = a - b
+    first = (diff != 0).argmax(axis=1)
+    return diff[np.arange(diff.shape[0]), first] < 0
+
+
+def _lex_minimal_mask(rows: np.ndarray, images) -> np.ndarray:
+    """Rows that no column permutation in `images` makes lexicographically
+    smaller; each comparison runs only on the rows still in the running."""
+    alive = np.arange(rows.shape[0])
+    for perm in images:
+        cur = rows[alive]
+        alive = alive[~_lex_less(cur[:, perm], cur)]
+    mask = np.zeros(rows.shape[0], dtype=bool)
+    mask[alive] = True
+    return mask
+
+
+def path_canonical_mask(rows: np.ndarray) -> np.ndarray:
+    """`is_path_canonical` of every row of a 2-d array, as a boolean mask."""
+    return _lex_minimal_mask(rows, [np.arange(rows.shape[1])[::-1]])
+
+
+def cycle_canonical_mask(rows: np.ndarray) -> np.ndarray:
+    """`is_cycle_canonical` of every row of a 2-d array, as a boolean mask:
+    compared against the n - 1 proper rotations and the n rotations of the
+    mirror."""
+    n = rows.shape[1]
+    ring = np.arange(n)
+    images = [np.roll(ring, -s) for s in range(1, n)]
+    images += [np.roll(ring[::-1], -s) for s in range(n)]
+    return _lex_minimal_mask(rows, images)

@@ -10,11 +10,15 @@ The brute-force searches enumerate distributions in colexicographic order
 and sandwich the exact engine between two vectorized exact filters:
 
 * reject: a vertex whose weighted potential sum(c_v * 2^-dist) falls below
-  1 can never be reached, so the distribution is unsolvable;
+  1 can never be reached, so the distribution is unsolvable (one matmul
+  with integer weights, exact in float64);
 * accept: if every vertex has a single pile holding 2^dist pebbles, each
-  vertex is reachable on its own, so the distribution is solvable.
+  vertex is reachable on its own, so the distribution is solvable (one
+  bitmask OR per vertex).
 
-Only distributions caught by neither filter reach the engine.
+On the canonically indexed path and cycle an array orbit mask keeps only
+orbit representatives.  Only distributions caught by no filter reach the
+engine.
 """
 
 from __future__ import annotations
@@ -29,7 +33,15 @@ from .engine import (
     Distribution,
     is_solvable,
 )
-from .enumeration import compositions_array, is_cycle_canonical, is_path_canonical
+# is_path_canonical / is_cycle_canonical are unused here, but perfbench/spans.py
+# patches them as attributes of this module, so they stay imported.
+from .enumeration import (  # noqa: F401
+    compositions_array,
+    cycle_canonical_mask,
+    is_cycle_canonical,
+    is_path_canonical,
+    path_canonical_mask,
+)
 from .errors import BudgetError, SizeLimitError
 from .graphs import Graph, cartesian_product, is_canonical_cycle, is_canonical_path
 
@@ -148,39 +160,75 @@ def construct_optimal_cycle_distribution(n: int) -> Distribution:
 # brute-force machinery
 
 
-def _weight_matrix(g: Graph) -> np.ndarray:
-    """W[t, v] = 2^-dist(v, t), zero when v cannot reach t."""
+def _potential_filter(g: Graph, k: int):
+    """Reject filter for size-k rows of g: a function from a chunk of rows
+    to the mask of rows whose potential sum(c_v * 2^-dist(v, t)) reaches 1
+    at every target t.  A row outside the mask is unsolvable.
+
+    The weights are the integers 2^(D - dist(v, t)) against the threshold
+    2^D, D the largest finite distance, so a size-k row weighs at most
+    k * 2^D.  Below 2^53 every float64 product and sum is an exact
+    integer; at or above it (a diameter near 50) the weights are Python
+    integers, which numpy sums exactly in an object array.
+    """
     n = g.n
-    w = np.zeros((n, n), dtype=np.float64)
+    dists = [g.distances_from(t) for t in range(n)]
+    depth = max(d for row in dists for d in row)
+    exact_float = k << depth < 1 << 53
+    weights = np.zeros((n, n), dtype=np.float64 if exact_float else object)
+    for t, row in enumerate(dists):
+        for v, dv in enumerate(row):
+            if dv >= 0:
+                weights[t, v] = 1 << (depth - dv)
+    threshold = float(1 << depth) if exact_float else 1 << depth
+
+    def reaches_all(chunk: np.ndarray) -> np.ndarray:
+        potentials = chunk.astype(weights.dtype) @ weights.T
+        return (potentials >= threshold).all(axis=1)
+
+    return reaches_all
+
+
+def _cover_filter(g: Graph, k: int):
+    """Accept filter for size-k rows of g: a function from a chunk of rows
+    to the mask of rows in which every target t has a single pile of at
+    least 2^dist(v, t) pebbles.  A row inside the mask is solvable.
+
+    cover[v][c] is the bitmask of the targets that c pebbles on v reach on
+    their own, so a row is screened by one OR per vertex.  The masks are
+    uint64 up to 64 vertices and Python integers beyond.
+    """
+    n = g.n
+    table = [[0] * (k + 1) for _ in range(n)]
     for t in range(n):
         for v, dv in enumerate(g.distances_from(t)):
             if dv >= 0:
-                w[t, v] = 2.0 ** (-dv)
-    return w
+                for c in range(1 << dv, k + 1):
+                    table[v][c] |= 1 << t
+    dtype = np.uint64 if n <= 64 else object
+    cover = np.array(table, dtype=dtype)
+    full = np.array((1 << n) - 1, dtype=dtype)
+
+    def covers_all(chunk: np.ndarray) -> np.ndarray:
+        hit = cover[0][chunk[:, 0]]
+        for v in range(1, n):
+            hit |= cover[v][chunk[:, v]]
+        return hit == full
+
+    return covers_all
 
 
-def _layer_masks(chunk_float: np.ndarray, weights: np.ndarray):
-    """Exact unsolvable/solvable masks for a chunk of distributions."""
-    potentials = chunk_float @ weights.T
-    candidate = (potentials >= 1.0).all(axis=1)
-    accept = None
-    for t in range(weights.shape[0]):
-        single = (chunk_float * weights[t]).max(axis=1) >= 1.0
-        accept = single if accept is None else (accept & single)
-    return candidate, accept
-
-
-def _orbit_filter(g: Graph):
-    """Orbit-representative test for g's rows, chosen from its edges.
+def _orbit_mask(g: Graph):
+    """Orbit-representative mask for g's rows, chosen from its edges.
 
     Only the canonically indexed path and cycle have a known automorphism
     group whose orbits the search can skip; every other graph, however
     it is labelled, is searched unfiltered.
     """
     if is_canonical_path(g):
-        return is_path_canonical
+        return path_canonical_mask
     if is_canonical_cycle(g):
-        return is_cycle_canonical
+        return cycle_canonical_mask
     return None
 
 
@@ -189,15 +237,17 @@ class _LayerScanner:
 
     Rows are charged against the budget a whole chunk at a time, before the
     chunk is screened, so `examined` counts every row the search touched.
+    Each chunk is screened as a whole array; a row becomes a tuple only
+    once it has passed every mask, and then the accept verdict or the
+    engine decides it.
     """
 
     def __init__(self, g: Graph, budget: int | None, engine_caps: dict,
-                 canonical=None):
+                 orbit_mask=None):
         self.g = g
         self.budget = budget
         self.engine_caps = engine_caps
-        self.canonical = canonical
-        self.weights = _weight_matrix(g)
+        self.orbit_mask = orbit_mask
         self.examined = 0
 
     def first(self, k: int, solvable: bool) -> tuple | None:
@@ -205,10 +255,17 @@ class _LayerScanner:
 
         A solvable row must pass the reject filter and is decided by the
         accept filter; an unsolvable row must fail the accept filter and is
-        decided by the reject filter.  With an orbit filter only orbit
+        decided by the reject filter.  With an orbit mask only orbit
         representatives count; their orbit mates are covered by their
         representative elsewhere in the layer.
         """
+        reaches_all = _potential_filter(self.g, k)
+        covers_all = _cover_filter(self.g, k)
+        if solvable:
+            visit, decided = reaches_all, covers_all
+        else:
+            visit, decided = (lambda c: ~covers_all(c)), (lambda c: ~reaches_all(c))
+
         rows = compositions_array(k, self.g.n)
         for start in range(0, rows.shape[0], _CHUNK):
             chunk = rows[start:start + _CHUNK]
@@ -216,14 +273,13 @@ class _LayerScanner:
             if self.budget is not None and self.examined > self.budget:
                 raise BudgetError(f"distribution budget {self.budget} exhausted",
                                   lower_bound=k, examined=self.examined)
-            candidate, accept = _layer_masks(chunk.astype(np.float64), self.weights)
-            visit, decided = (candidate, accept) if solvable else (~accept, ~candidate)
-            for i in np.flatnonzero(visit):
-                row = tuple(int(x) for x in chunk[i])
-                if self.canonical is not None and not self.canonical(row):
-                    continue
-                if decided[i] or is_solvable(self.g, Distribution(row),
-                                             **self.engine_caps) == solvable:
+            picked = chunk[visit(chunk)]
+            if self.orbit_mask is not None:
+                picked = picked[self.orbit_mask(picked)]
+            for i, sure in enumerate(decided(picked).tolist()):
+                row = tuple(picked[i].tolist())
+                if sure or is_solvable(self.g, Distribution(row),
+                                       **self.engine_caps) == solvable:
                     return row
         return None
 
@@ -245,7 +301,7 @@ def optimal_pebbling_number(g: Graph, *,
     scanner = _LayerScanner(
         g, max_distributions,
         {"max_vertices": max_vertices, "max_pebbles": max_pebbles},
-        _orbit_filter(g))
+        _orbit_mask(g))
     for k in range(1, max_pebbles + 1):
         row = scanner.first(k, solvable=True)
         if row is not None:

@@ -388,6 +388,13 @@ def test_reduce_check_failure_exit_1(capsys, monkeypatch):
     assert payload["result"]["checks_passed"] is False
 
 
+def test_reduce_check_budget_exit_3(capsys):
+    code, _, err = run(capsys, "reduce", "path:4", "--dist", "0,0,2,3",
+                       "--check", "--budget-states", "0")
+    assert code == 3
+    assert "budget" in err
+
+
 def test_reduce_json_byte_identical(capsys):
     args = ("reduce", "cycle:9", "--dist", "0,2,0,0,2,0,1,3,1",
             "--to-fixpoint", "--json")

@@ -1,5 +1,9 @@
 """Tests for formulas, constructions, brute-force numbers, and product bounds."""
 
+import random
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from pebbletools import (
@@ -14,6 +18,8 @@ from pebbletools import (
     formula_fopt_cycle,
     formula_fopt_path,
     graham_optimal_check,
+    is_canonical_cycle,
+    is_canonical_path,
     is_cycle_canonical,
     is_path_canonical,
     is_solvable,
@@ -24,6 +30,7 @@ from pebbletools import (
     pebbling_number,
     product_distribution,
 )
+from pebbletools.invariants import _cover_filter, _orbit_mask, _potential_filter
 
 # value sequences pinned up front; every later check must reproduce them
 PATH_VALUES = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 4, 7: 5, 8: 6, 9: 6,
@@ -41,8 +48,12 @@ def test_compositions_colex_order():
 
 
 def test_compositions_array_matches_iterator():
-    rows = compositions_array(4, 3)
-    assert [tuple(r) for r in rows.tolist()] == list(iter_compositions(4, 3))
+    for total in range(9):
+        for length in range(1, 9):
+            rows = compositions_array(total, length)
+            assert rows.dtype == np.int16
+            assert [tuple(r) for r in rows.tolist()] \
+                == list(iter_compositions(total, length))
 
 
 def test_composition_counts():
@@ -56,6 +67,43 @@ def test_canonical_representative_predicates():
     assert is_cycle_canonical((0, 1, 2))
     assert not is_cycle_canonical((1, 2, 0))
     assert not is_cycle_canonical((0, 2, 1))  # reflection (0,1,2) is smaller
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_layer_masks_match_per_row_definitions():
+    """The scanner's array masks agree with their per-row definitions on
+    every row: reject (potential below 1 at some target), accept (every
+    target has a pile of 2^dist) and the orbit representatives."""
+    graphs = []
+    for n in range(1, 8):
+        graphs += [make_path(n), _relabelled(make_path(n), n)]
+        if n >= 3:
+            graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
+    for g in graphs:
+        dist = [g.distances_from(t) for t in range(g.n)]
+        orbit_mask = _orbit_mask(g)
+        per_row_canonical = (is_path_canonical if is_canonical_path(g)
+                             else is_cycle_canonical if is_canonical_cycle(g)
+                             else None)
+        assert (orbit_mask is None) == (per_row_canonical is None)
+        for k in range(7):
+            rows = compositions_array(k, g.n)
+            tuples = [tuple(r) for r in rows.tolist()]
+            reaches_all = [all(sum(Fraction(c, 2 ** dist[t][v])
+                                   for v, c in enumerate(row)) >= 1
+                               for t in range(g.n)) for row in tuples]
+            covers_all = [all(any(c >= 2 ** dist[t][v] for v, c in enumerate(row))
+                              for t in range(g.n)) for row in tuples]
+            assert _potential_filter(g, k)(rows).tolist() == reaches_all
+            assert _cover_filter(g, k)(rows).tolist() == covers_all
+            if orbit_mask is not None:
+                assert orbit_mask(rows).tolist() \
+                    == [per_row_canonical(row) for row in tuples]
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +215,19 @@ def test_optimal_number_pinned_path_12():
     report = optimal_pebbling_number(make_path(12))
     assert (report.value, report.witness.format(), report.distributions_examined) \
         == (8, "0,2,0,0,2,0,0,2,0,0,2,0", 115923)
+
+
+def test_optimal_number_pinned_cycle_12():
+    report = optimal_pebbling_number(make_cycle(12))
+    assert (report.value, report.witness.format(), report.distributions_examined) \
+        == (8, "0,0,2,0,0,2,0,0,2,0,0,2", 125969)
+
+
+def test_optimal_number_budget_mid_layer_path_12():
+    # the budget runs out inside layer 8, charged a whole chunk at a time
+    with pytest.raises(BudgetError) as info:
+        optimal_pebbling_number(make_path(12), max_distributions=70000)
+    assert (info.value.examined, info.value.lower_bound) == (115923, 8)
 
 
 def test_optimal_number_rejects_disconnected():
