@@ -28,7 +28,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .engine import Distribution, is_reachable, is_solvable
 from .errors import BudgetError, NotApplicableError, PebblingError, SizeLimitError
@@ -178,12 +177,24 @@ def _csv_out(header: list[str], rows: list[list]) -> None:
                          for cell in row])
 
 
-def _run_rows(worker, items: list, jobs: int) -> list:
-    """Run worker over items, preserving input order regardless of jobs."""
-    if jobs <= 1:
-        return [worker(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
+def _table(args: argparse.Namespace, started: float, command: str,
+           inputs: dict, header: list[str], rows: list[dict], name: str,
+           summary: str, ok: bool, human_lines: list[str]) -> int:
+    """Report a sweep's rows and return its exit code; name formats a row
+    for its stderr error line, summary is the result key holding ok."""
+    for row in rows:
+        if row["error"] is not None:
+            print(f"{name.format(**row)}: {row['error']}", file=sys.stderr)
+    if args.csv:
+        _csv_out(header, [[r[k] for k in header] for r in rows])
+    else:
+        result = {"rows": [{k: r[k] for k in header + ["error"]} for r in rows],
+                  summary: ok}
+        _emit(args, started, command, inputs, result, human_lines,
+              examined=sum(r["examined"] for r in rows))
+    if any(row["error"] is not None for row in rows):
+        return EXIT_BUDGET
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +233,18 @@ def cmd_fopt(args: argparse.Namespace) -> int:
 # verify
 
 
-def _verify_row(item: tuple) -> dict:
-    family, n, budget, caps = item
-    if family == "path":
+def _verify_row(args: argparse.Namespace, n: int) -> dict:
+    if args.family == "path":
         g, formula = make_path(n), formula_fopt_path(n)
     else:
         g, formula = make_cycle(n), formula_fopt_cycle(n)
     try:
-        report = optimal_pebbling_number(g, max_distributions=budget, **caps)
+        report = optimal_pebbling_number(g, max_distributions=args.budget_states,
+                                         **_search_kwargs(args))
     except (BudgetError, SizeLimitError) as exc:
         return {"n": n, "formula": formula, "brute_force": None,
-                "match": False, "examined": 0, "error": str(exc)}
+                "match": False, "examined": getattr(exc, "examined", 0),
+                "error": str(exc)}
     return {"n": n, "formula": formula, "brute_force": report.value,
             "match": report.value == formula,
             "examined": report.distributions_examined, "error": None}
@@ -244,57 +256,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < start_n:
         raise ValueError(f"--max-n must be at least {start_n} for the "
                          f"{args.family} family, got {args.max_n}")
-    caps = _search_kwargs(args)
-    items = [(args.family, n, args.budget_states, caps)
-             for n in range(start_n, args.max_n + 1)]
-    rows = _run_rows(_verify_row, items, args.jobs)
-
-    budget_hit = any(row["error"] is not None for row in rows)
+    rows = [_verify_row(args, n) for n in range(start_n, args.max_n + 1)]
     all_match = all(row["match"] for row in rows)
-    examined = sum(row["examined"] for row in rows)
-    for row in rows:
-        if row["error"] is not None:
-            print(f"n={row['n']}: {row['error']}", file=sys.stderr)
-
-    if args.csv:
-        _csv_out(["n", "formula", "brute_force", "match"],
-                 [[r["n"], r["formula"], r["brute_force"], r["match"]]
-                  for r in rows])
-    else:
-        lines = [f"{'n':>4} {'formula':>8} {'brute':>6} match"]
-        for r in rows:
-            brute = "-" if r["brute_force"] is None else r["brute_force"]
-            lines.append(f"{r['n']:>4} {r['formula']:>8} {brute:>6} "
-                         f"{str(r['match']).lower()}")
-        lines.append(f"all rows match: {str(all_match).lower()}")
-        result = {"rows": [{k: r[k] for k in ("n", "formula", "brute_force",
-                                              "match", "error")} for r in rows],
-                  "all_match": all_match}
-        _emit(args, started, "verify",
-              {"family": args.family, "max_n": args.max_n}, result, lines,
-              examined=examined)
-
-    if budget_hit:
-        return EXIT_BUDGET
-    return EXIT_OK if all_match else EXIT_FAILURE
+    lines = [f"{'n':>4} {'formula':>8} {'brute':>6} match"]
+    for r in rows:
+        brute = "-" if r["brute_force"] is None else r["brute_force"]
+        lines.append(f"{r['n']:>4} {r['formula']:>8} {brute:>6} "
+                     f"{str(r['match']).lower()}")
+    lines.append(f"all rows match: {str(all_match).lower()}")
+    return _table(args, started, "verify",
+                  {"family": args.family, "max_n": args.max_n},
+                  ["n", "formula", "brute_force", "match"], rows, "n={n}",
+                  "all_match", all_match, lines)
 
 
 # ---------------------------------------------------------------------------
 # graham
 
 
-def _graham_row(item: tuple) -> dict:
-    pair, budget, caps = item
-    spec_g, spec_h = _split_pair(pair)
+def _graham_row(args: argparse.Namespace, pair: tuple[str, str]) -> dict:
+    spec_g, spec_h = pair
     base = {"g": spec_g, "h": spec_h, "fopt_g": None, "fopt_h": None,
             "fopt_product": None, "bound": None, "holds": None,
             "tight": None, "examined": 0, "error": None}
     try:
         g = parse_graph_spec(spec_g)
         h = parse_graph_spec(spec_h)
-        check = graham_optimal_check(g, h, max_distributions=budget, **caps)
+        check = graham_optimal_check(g, h, max_distributions=args.budget_states,
+                                     **_search_kwargs(args))
     except (BudgetError, SizeLimitError) as exc:
-        base["error"] = str(exc)
+        base.update(examined=getattr(exc, "examined", 0), error=str(exc))
         return base
     base.update(fopt_g=check.fopt_g, fopt_h=check.fopt_h,
                 fopt_product=check.fopt_product, bound=check.bound,
@@ -305,44 +296,26 @@ def _graham_row(item: tuple) -> dict:
 
 def cmd_graham(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    for pair in args.pairs:
-        _split_pair(pair)  # surface malformed pairs as usage errors up front
-    caps = _search_kwargs(args)
-    items = [(pair, args.budget_states, caps) for pair in args.pairs]
-    rows = _run_rows(_graham_row, items, args.jobs)
-
-    budget_hit = any(row["error"] is not None for row in rows)
+    # Split every pair before any search, so a malformed one is a usage error.
+    pairs = [_split_pair(pair) for pair in args.pairs]
+    rows = [_graham_row(args, pair) for pair in pairs]
     all_hold = all(row["holds"] is True for row in rows)
-    examined = sum(row["examined"] for row in rows)
-    for row in rows:
-        if row["error"] is not None:
-            print(f"{row['g']} x {row['h']}: {row['error']}", file=sys.stderr)
-
-    header = ["g", "h", "fopt_g", "fopt_h", "fopt_product", "bound",
-              "holds", "tight"]
-    if args.csv:
-        _csv_out(header, [[r[k] for k in header] for r in rows])
-    else:
-        lines = []
-        for r in rows:
-            if r["error"] is not None:
-                lines.append(f"{r['g']} x {r['h']}: error ({r['error']})")
-                continue
-            rel = "=" if r["tight"] else "<"
-            verdict = "holds" if r["holds"] else "VIOLATED"
-            lines.append(
-                f"{r['g']} x {r['h']}: f_opt = {r['fopt_product']} {rel} "
-                f"{r['fopt_g']}*{r['fopt_h']} = {r['bound']} -> {verdict}")
-        lines.append(f"all pairs hold: {str(all_hold).lower()}")
-        result = {"rows": [{k: r[k] for k in header + ["error"]} for r in rows],
-                  "all_hold": all_hold}
-        _emit(args, started, "graham",
-              {"pairs": [list(_split_pair(p)) for p in args.pairs]}, result,
-              lines, examined=examined)
-
-    if budget_hit:
-        return EXIT_BUDGET
-    return EXIT_OK if all_hold else EXIT_FAILURE
+    lines = []
+    for r in rows:
+        if r["error"] is not None:
+            lines.append(f"{r['g']} x {r['h']}: error ({r['error']})")
+            continue
+        rel = "=" if r["tight"] else "<"
+        verdict = "holds" if r["holds"] else "VIOLATED"
+        lines.append(
+            f"{r['g']} x {r['h']}: f_opt = {r['fopt_product']} {rel} "
+            f"{r['fopt_g']}*{r['fopt_h']} = {r['bound']} -> {verdict}")
+    lines.append(f"all pairs hold: {str(all_hold).lower()}")
+    return _table(args, started, "graham",
+                  {"pairs": [list(pair) for pair in pairs]},
+                  ["g", "h", "fopt_g", "fopt_h", "fopt_product", "bound",
+                   "holds", "tight"], rows, "{g} x {h}", "all_hold", all_hold,
+                  lines)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--csv", action="store_true",
                        help="emit the result table as CSV")
-    table.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for sweeps (default 1); "
-                            "results are independent of N")
 
     parser = argparse.ArgumentParser(
         prog="pebbletools",

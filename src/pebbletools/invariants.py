@@ -357,12 +357,19 @@ def graham_optimal_check(g: Graph, h: Graph, *,
                          max_pebbles: int = MAX_ENGINE_PEBBLES,
                          max_distributions: int | None = None) -> GrahamCheck:
     """Test f_opt(G x H) <= f_opt(G) * f_opt(H) by exact computation; the
-    caps apply to all three searches, the product being the largest."""
+    caps apply to all three searches, the product being the largest.  A
+    BudgetError's examined also counts the searches that finished first."""
     prod = cartesian_product(g, h, max_vertices=max_vertices)
     caps = {"max_vertices": max_vertices, "max_pebbles": max_pebbles,
             "max_distributions": max_distributions}
-    report_g, report_h, report_p = (optimal_pebbling_number(x, **caps)
-                                    for x in (g, h, prod))
+    reports = []
+    try:
+        for x in (g, h, prod):
+            reports.append(optimal_pebbling_number(x, **caps))
+    except BudgetError as exc:
+        exc.examined += sum(r.distributions_examined for r in reports)
+        raise
+    report_g, report_h, report_p = reports
     bound = report_g.value * report_h.value
     return GrahamCheck(
         fopt_g=report_g.value,

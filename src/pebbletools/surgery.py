@@ -4,6 +4,9 @@ Each operation shrinks a path or cycle by one to three vertices while editing
 the pebble counts so that, on suitable inputs, solvability is preserved.
 They are the executable form of an inductive shrinking argument; the test
 suite checks the preservation guarantee empirically against the engine.
+Each rule only validates its input and finds its pattern, then names the
+vertices that go and the pebbles that move; one rewrite step, `_rewrite`,
+smooths those vertices out, composes the index maps and counts the net.
 
 All operations require canonical indexing (edges {i, i+1}, and {n-1, 0}
 for cycles), validate their stated preconditions, and refuse with a typed
@@ -53,12 +56,24 @@ def _validate(g: Graph, d: Distribution) -> None:
                          f"graph has {g.n} vertices")
 
 
-def _mapped_counts(d: Distribution, index_map: dict[int, int],
-                   n_after: int) -> list[int]:
-    counts = [0] * n_after
+def _rewrite(g: Graph, d: Distribution, gone: list[int],
+             edits: dict[int, int], rule: str,
+             branch: str | None = None) -> SurgeryResult:
+    """Smooth out the vertices in gone, move edits[v] pebbles onto each
+    surviving old vertex v, and report the step; every rule ends here."""
+    index_map = None
+    # Highest index first, so each removal leaves the lower ones in place.
+    for v in sorted(gone, reverse=True):
+        g, step = remove_vertex_smoothing(g, v)
+        index_map = step if index_map is None else {
+            old: step[mid] for old, mid in index_map.items() if mid in step}
+    counts, after = d.counts, [0] * g.n
     for old, new in index_map.items():
-        counts[new] = d.counts[old]
-    return counts
+        after[new] = counts[old]
+    for v, delta in edits.items():
+        after[index_map[v]] += delta
+    return SurgeryResult(g, Distribution(tuple(after)), index_map,
+                         d.size - sum(after), rule, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +93,7 @@ def remove_singleton(g: Graph, d: Distribution, v: int) -> SurgeryResult:
     if d.counts[v] != 1:
         raise PreconditionError(
             f"vertex {v} carries {d.counts[v]} pebbles, needs exactly 1")
-    graph_after, index_map = remove_vertex_smoothing(g, v)
-    counts = _mapped_counts(d, index_map, graph_after.n)
-    return SurgeryResult(graph_after, Distribution(tuple(counts)), index_map,
-                         1, "remove_singleton")
+    return _rewrite(g, d, [v], {}, "remove_singleton")
 
 
 def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
@@ -140,29 +152,16 @@ def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
     pred = order[pos - 1] if pos else None
     gone = [order[pos + 1]]
     if counts[pile] > 2 or (pred is not None and counts[pred] > 0):
-        take, compensate = 2, pred
+        edits = {pile: -2} if pred is None else {pile: -2, pred: 1}
     elif pred is None:
-        take, compensate = 1, None
+        edits = {pile: -1}
     else:
         if n == 3:
             raise SizeLimitError(
                 "collapsing the [0,2,0] block would delete the whole path")
         gone += [pile, pred]
-        take, compensate = 0, None
-    # Highest index first, so each removal leaves the lower ones in place.
-    graph_after, index_map = g, {v: v for v in range(n)}
-    for v in sorted(gone, reverse=True):
-        graph_after, step = remove_vertex_smoothing(graph_after, v)
-        index_map = {old: step[mid] for old, mid in index_map.items()
-                     if mid in step}
-    after = _mapped_counts(d, index_map, graph_after.n)
-    if take:
-        after[index_map[pile]] -= take
-    if compensate is not None:
-        after[index_map[compensate]] += 1
-    net = d.size - sum(after)
-    return SurgeryResult(graph_after, Distribution(tuple(after)), index_map,
-                         net, "collapse_two_pebble_block_path")
+        edits = {}
+    return _rewrite(g, d, gone, edits, "collapse_two_pebble_block_path")
 
 
 def cycle_remove_202_or_220(g: Graph, d: Distribution) -> SurgeryResult:
@@ -194,15 +193,8 @@ def cycle_remove_202_or_220(g: Graph, d: Distribution) -> SurgeryResult:
         raise SizeLimitError(
             f"removing two vertices from a {n}-cycle leaves fewer than 3")
 
-    first = (window_start + 1) % n
-    second = (window_start + 2) % n
-    g1, map1 = remove_vertex_smoothing(g, first)
-    g2, map2 = remove_vertex_smoothing(g1, map1[second])
-    index_map = {old: map2[mid] for old, mid in map1.items() if mid in map2}
-    after = _mapped_counts(d, index_map, g2.n)
-    net = d.size - sum(after)
-    return SurgeryResult(g2, Distribution(tuple(after)), index_map,
-                         net, "cycle_remove_202_or_220")
+    gone = [(window_start + 1) % n, (window_start + 2) % n]
+    return _rewrite(g, d, gone, {}, "cycle_remove_202_or_220")
 
 
 def cycle_reduce_big_pile(g: Graph, d: Distribution) -> SurgeryResult:
@@ -232,44 +224,28 @@ def cycle_reduce_big_pile(g: Graph, d: Distribution) -> SurgeryResult:
     succ = (pile + 1) % n
     pred = (pile - 1) % n
 
+    rule = "cycle_reduce_big_pile"
     if counts[succ] == 0 or counts[pred] == 0:
-        gone, other = (succ, pred) if counts[succ] == 0 else (pred, succ)
-        graph_after, index_map = remove_vertex_smoothing(g, gone)
-        after = _mapped_counts(d, index_map, graph_after.n)
-        after[index_map[pile]] -= 2
-        after[index_map[other]] += 1
-        branch = "a"
-    elif counts[pile] == 3:
-        graph_after, index_map = remove_vertex_smoothing(g, pile)
-        after = _mapped_counts(d, index_map, graph_after.n)
-        after[index_map[succ]] += 1
-        after[index_map[pred]] += 1
-        branch = "b"
-    else:
-        nearest = None
-        direction = 0
-        for k in range(2, n // 2 + 1):
-            forward = (pile + k) % n
-            backward = (pile - k) % n
-            if counts[forward] == 0:
-                nearest, direction = forward, 1
-                break
-            if counts[backward] == 0:
-                nearest, direction = backward, -1
-                break
-        if nearest is None:
-            raise NotApplicableError(
-                "every vertex is occupied; no nearest unoccupied vertex")
-        behind = (pile - direction) % n
-        graph_after, index_map = remove_vertex_smoothing(g, nearest)
-        after = _mapped_counts(d, index_map, graph_after.n)
-        after[index_map[pile]] -= 3
-        after[index_map[behind]] += 2
-        branch = "c"
-
-    net = d.size - sum(after)
-    return SurgeryResult(graph_after, Distribution(tuple(after)), index_map,
-                         net, "cycle_reduce_big_pile", branch)
+        empty, other = (succ, pred) if counts[succ] == 0 else (pred, succ)
+        return _rewrite(g, d, [empty], {pile: -2, other: 1}, rule, "a")
+    if counts[pile] == 3:
+        return _rewrite(g, d, [pile], {succ: 1, pred: 1}, rule, "b")
+    nearest = None
+    direction = 0
+    for k in range(2, n // 2 + 1):
+        forward = (pile + k) % n
+        backward = (pile - k) % n
+        if counts[forward] == 0:
+            nearest, direction = forward, 1
+            break
+        if counts[backward] == 0:
+            nearest, direction = backward, -1
+            break
+    if nearest is None:
+        raise NotApplicableError(
+            "every vertex is occupied; no nearest unoccupied vertex")
+    behind = (pile - direction) % n
+    return _rewrite(g, d, [nearest], {pile: -3, behind: 2}, rule, "c")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for the command-line interface: grammar, commands, output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from pebbletools import (
 
 # Pinned --json bytes: any difference is a change to the output format.
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -162,13 +166,6 @@ def test_verify_single_trivial_row(capsys):
     assert out == "n,formula,brute_force,match\n1,1,1,true\n"
 
 
-def test_verify_jobs_do_not_change_output(capsys):
-    _, serial, _ = run(capsys, "verify", "path", "--max-n", "6", "--json")
-    _, parallel, _ = run(capsys, "verify", "path", "--max-n", "6", "--json",
-                         "--jobs", "3")
-    assert serial == parallel
-
-
 def test_verify_budget_annotates_and_exits_3(capsys):
     code, out, err = run(capsys, "verify", "path", "--max-n", "6", "--json",
                          "--budget-states", "30")
@@ -176,6 +173,8 @@ def test_verify_budget_annotates_and_exits_3(capsys):
     payload = json.loads(out)
     flagged = [row for row in payload["result"]["rows"] if row["error"]]
     assert flagged and "n=" in err
+    # Rows 1-3 finish (15); rows 4, 5 and 6 stop after 34, 55 and 83.
+    assert payload["stats"]["distributions_examined"] == 187
 
 
 @pytest.mark.parametrize("family,max_n", [("cycle", "2"), ("path", "0")])
@@ -229,11 +228,14 @@ def test_graham_csv(capsys):
                    "path:1,cycle:3,1,2,2,2,true,true\n")
 
 
-def test_graham_jobs_do_not_change_output(capsys):
-    pairs = ["path:3,path:3", "path:1,cycle:3", "path:2,cycle:4"]
-    _, serial, _ = run(capsys, "graham", *pairs, "--json")
-    _, parallel, _ = run(capsys, "graham", *pairs, "--json", "--jobs", "2")
-    assert serial == parallel
+def test_graham_budget_counts_finished_searches(capsys):
+    code, out, err = run(capsys, "graham", "path:3,path:3", "--json",
+                         "--budget-states", "200")
+    assert code == 3 and "path:3 x path:3: " in err
+    payload = json.loads(out)
+    assert payload["result"]["rows"][0]["error"]
+    # Both factors finish (9 + 9); the product stops after 219.
+    assert payload["stats"]["distributions_examined"] == 237
 
 
 def test_graham_malformed_pair_exit_2(capsys):
@@ -417,3 +419,36 @@ def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "path"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "path", "--max-n", "3"],
+                                  ["graham", "path:2,path:2"]],
+                         ids=["verify", "graham"])
+def test_jobs_flag_is_gone_exit_2(capsys, argv):
+    """Sweeps run in one process; --jobs is an unknown flag."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--jobs", "2"])
+    assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the module entry point, as the console script runs it
+
+
+def _run_module(*argv):
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", "pebbletools.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_prints_golden_json():
+    proc = _run_module("verify", "cycle", "--max-n", "6", "--json")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "verify_cycle_6.json").read_text()
+
+
+def test_module_entry_point_exit_code():
+    proc = _run_module("graham", "cycle:5,cycle:5")
+    assert proc.returncode == 3
+    assert "cycle:5 x cycle:5: " in proc.stderr
