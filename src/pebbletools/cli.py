@@ -448,6 +448,18 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 # parser
 
 
+def _cap(text: str) -> int:
+    """argparse type of the cap flags: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true",
@@ -455,12 +467,12 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--timing", action="store_true",
                         help="include wall-clock elapsed_ms in the output "
                              "(breaks byte-identical JSON)")
-    shared.add_argument("--max-pebbles", type=int, default=None, metavar="N",
+    shared.add_argument("--max-pebbles", type=_cap, default=None, metavar="N",
                         help="cap on distribution size (default 64)")
-    shared.add_argument("--max-vertices", type=int, default=None, metavar="N",
+    shared.add_argument("--max-vertices", type=_cap, default=None, metavar="N",
                         help="cap on vertex count for exact search "
                              "(default 20; 16 for every graham search)")
-    shared.add_argument("--budget-states", type=int, default=None, metavar="N",
+    shared.add_argument("--budget-states", type=_cap, default=None, metavar="N",
                         help="abort after exploring/examining N states or "
                              "distributions (default unlimited); solvable "
                              "applies it to each target's search separately")

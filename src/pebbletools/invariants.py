@@ -3,22 +3,28 @@
 Two independent routes to the same numbers live here.  The closed forms
 (`formula_fopt_path`, `formula_fopt_cycle`) and the explicit distribution
 builders rest on the decomposition n = 3t + r; the brute-force searches
-(`optimal_pebbling_number`, `pebbling_number`) rest only on the exact
-engine.  The test suite holds the two routes against each other.
+(`optimal_pebbling_number`, `pebbling_number`) rest on exact verdicts for
+every distribution.  The test suite holds the two routes against each
+other.
 
 The brute-force searches enumerate distributions in colexicographic order
-and sandwich the exact engine between two vectorized exact filters:
+and decide them a whole chunk at a time with three vectorized exact
+verdicts:
 
 * reject: a vertex whose weighted potential sum(c_v * 2^-dist) falls below
   1 can never be reached, so the distribution is unsolvable (one matmul
   with integer weights, exact in float64);
 * accept: if every vertex has a single pile holding 2^dist pebbles, each
   vertex is reachable on its own, so the distribution is solvable (one
-  bitmask OR per vertex).
+  bitmask OR per vertex);
+* fold: on trees and cycles, where G - t is a forest for every t, a
+  leaf-to-root transport fold decides every distribution exactly (one
+  column operation per edge of the component of G - t at each neighbour
+  of t); the test suite holds it to the engine.
 
 On the canonically indexed path and cycle an array orbit mask keeps only
-orbit representatives.  Only distributions caught by no filter reach the
-engine.
+orbit representatives.  On trees and cycles no distribution reaches the
+engine; elsewhere only those that neither filter decides do.
 """
 
 from __future__ import annotations
@@ -218,6 +224,74 @@ def _cover_filter(g: Graph, k: int):
     return covers_all
 
 
+def _fold_schedule(g: Graph) -> tuple:
+    """Per target t, per neighbour u of t: u and the (child, parent) pairs
+    of u's component in G - t rooted at u, leaves first (reverse BFS
+    order, so every child comes before its parent)."""
+    schedule = []
+    for t in range(g.n):
+        roots = []
+        for u in g.neighbors(t):
+            order, parent = [u], {t: t, u: t}
+            for v in order:
+                for w in g.neighbors(v):
+                    if w not in parent:
+                        parent[w] = v
+                        order.append(w)
+            roots.append((u, tuple((v, parent[v]) for v in reversed(order[1:]))))
+        schedule.append(tuple(roots))
+    return tuple(schedule)
+
+
+def _fold_verdict(g: Graph):
+    """Exact solvability of whole chunks of rows by transport folds, for
+    the connected graphs on which G - t is a forest for every t: trees
+    and cycles.  Returns a function from a chunk to its solvable mask, or
+    None for every other graph.
+
+    Lemma.  Let t hold no pebble.  No move before the first arrival at t
+    takes a pebble from t (it has none) or puts one there (it is the
+    first), so those moves stay inside G - t, and the first arrival is a
+    move u -> t from a neighbour u holding 2.  So t is reachable iff some
+    neighbour u of t can collect 2 pebbles in G - t.
+
+    On a forest the most pebbles u can collect is the leaf-to-root fold
+    m(v) = c_v + sum of floor(m(x) / 2) over the children x of v in u's
+    component, rooted at u.  Folding leaves first attains it.  No sequence
+    beats it: if a_v moves go from v to its parent and b_v come back,
+    the count left on v gives 2a_v <= c_v + b_v + sum over children x of
+    (a_x - 2b_x).  By induction from the leaves 2a_x <= m(x) + b_x, so the
+    integer a_x - 2b_x is at most floor(m(x) / 2); hence 2a_v <= m(v) + b_v,
+    and the count on the root u is at most m(u).
+
+    A tree has n - 1 edges; a connected graph whose degrees are all 2 is a
+    cycle.  Both are read from the edges, never from the label.  The
+    schedule lives with the graph; a chunk costs one column operation per
+    (child, parent) pair, carry[p] += (carry[c] + row[c]) >> 1, and no
+    Python per row.
+    """
+    if not g.is_connected() or (
+            g.edge_count != g.n - 1 and any(g.degree(v) != 2 for v in range(g.n))):
+        return None
+    schedule = g.derived(_fold_schedule)
+
+    def solvable_rows(chunk: np.ndarray) -> np.ndarray:
+        alive, cols = np.arange(chunk.shape[0]), chunk.T
+        for t, roots in enumerate(schedule):
+            reached = cols[t] > 0
+            for u, pairs in roots:
+                carry = {}
+                for c, p in pairs:
+                    carry[p] = carry.get(p, 0) + ((carry.get(c, 0) + cols[c]) >> 1)
+                reached |= cols[u] + carry.get(u, 0) >= 2
+            alive, cols = alive[reached], cols[:, reached]
+        solvable = np.zeros(chunk.shape[0], dtype=bool)
+        solvable[alive] = True
+        return solvable
+
+    return solvable_rows
+
+
 def _orbit_mask(g: Graph):
     """Orbit-representative mask for g's rows, chosen from its edges.
 
@@ -237,9 +311,10 @@ class _LayerScanner:
 
     Rows are charged against the budget a whole chunk at a time, before the
     chunk is screened, so `examined` counts every row the search touched.
-    Each chunk is screened as a whole array; a row becomes a tuple only
-    once it has passed every mask, and then the accept verdict or the
-    engine decides it.
+    Each chunk is screened as a whole array.  On trees and cycles the
+    fold verdict then decides every row that passed the masks; elsewhere a
+    row becomes a tuple only once it has passed every mask, and then the
+    accept verdict or the engine decides it.
     """
 
     def __init__(self, g: Graph, budget: int | None, engine_caps: dict,
@@ -248,6 +323,7 @@ class _LayerScanner:
         self.budget = budget
         self.engine_caps = engine_caps
         self.orbit_mask = orbit_mask
+        self.fold = _fold_verdict(g)
         self.examined = 0
 
     def first(self, k: int, solvable: bool) -> tuple | None:
@@ -255,9 +331,10 @@ class _LayerScanner:
 
         A solvable row must pass the reject filter and is decided by the
         accept filter; an unsolvable row must fail the accept filter and is
-        decided by the reject filter.  With an orbit mask only orbit
-        representatives count; their orbit mates are covered by their
-        representative elsewhere in the layer.
+        decided by the reject filter.  The fold verdict, where the graph has
+        one, decides the rest; otherwise the engine does.  With an orbit
+        mask only orbit representatives count; their orbit mates are
+        covered by their representative elsewhere in the layer.
         """
         reaches_all = _potential_filter(self.g, k)
         covers_all = _cover_filter(self.g, k)
@@ -276,6 +353,11 @@ class _LayerScanner:
             picked = chunk[visit(chunk)]
             if self.orbit_mask is not None:
                 picked = picked[self.orbit_mask(picked)]
+            if self.fold is not None:
+                hits = np.flatnonzero(self.fold(picked) == solvable)
+                if hits.size:
+                    return tuple(picked[hits[0]].tolist())
+                continue
             for i, sure in enumerate(decided(picked).tolist()):
                 row = tuple(picked[i].tolist())
                 if sure or is_solvable(self.g, Distribution(row),
@@ -291,8 +373,9 @@ def optimal_pebbling_number(g: Graph, *,
     """Smallest k admitting a solvable distribution of size k.
 
     Searches sizes 1, 2, ... exhaustively, so the reported value is exact.
-    Every connected graph satisfies f_opt <= n (one pebble per vertex), so
-    the loop always terminates within the pebble cap for sane inputs.
+    Every connected graph satisfies f_opt <= ceil(2n/3) (Bunde, Chambers,
+    Cranston, Milans and West, J. Graph Theory 2008), so the loop ends by
+    that size, and a BudgetError carries it as its upper_bound.
     """
     if g.n > max_vertices:
         raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
@@ -302,11 +385,15 @@ def optimal_pebbling_number(g: Graph, *,
         g, max_distributions,
         {"max_vertices": max_vertices, "max_pebbles": max_pebbles},
         _orbit_mask(g))
-    for k in range(1, max_pebbles + 1):
-        row = scanner.first(k, solvable=True)
-        if row is not None:
-            return NumberReport("optimal_pebbling", k, Distribution(row),
-                                scanner.examined)
+    try:
+        for k in range(1, max_pebbles + 1):
+            row = scanner.first(k, solvable=True)
+            if row is not None:
+                return NumberReport("optimal_pebbling", k, Distribution(row),
+                                    scanner.examined)
+    except BudgetError as exc:
+        exc.upper_bound = -(-2 * g.n // 3)
+        raise
     raise SizeLimitError(
         f"no solvable distribution of size <= {max_pebbles} found")
 

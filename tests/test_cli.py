@@ -431,6 +431,31 @@ def test_jobs_flag_is_gone_exit_2(capsys, argv):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solvable", "path:3", "--dist", "0,0,4", "--budget-states", "-5"],
+    ["fopt", "path:5", "--max-vertices", "-1"],
+    ["fopt", "path:5", "--max-pebbles", "-2"],
+    ["verify", "path", "--max-n", "3", "--budget-states", "-1"],
+    ["graham", "path:2,path:2", "--max-pebbles", "-1"],
+    ["reduce", "path:3", "--dist", "0,2,0", "--max-vertices", "two"],
+], ids=["solvable_budget", "fopt_vertices", "fopt_pebbles", "verify_budget",
+        "graham_pebbles", "reduce_not_an_integer"])
+def test_negative_cap_is_usage_error_exit_2(capsys, argv):
+    """A cap flag takes a non-negative integer; anything else is an
+    argparse usage error, not a search that stops at once."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_zero_cap_is_accepted(capsys):
+    code, _, err = run(capsys, "solvable", "path:3", "--dist", "0,0,4",
+                       "--budget-states", "0")
+    assert code == 3
+    assert "exceeded 0 states" in err
+
+
 # ---------------------------------------------------------------------------
 # the module entry point, as the console script runs it
 

@@ -11,6 +11,7 @@ from pebbletools import (
     Distribution,
     Graph,
     SizeLimitError,
+    cartesian_product,
     compositions_array,
     construct_optimal_cycle_distribution,
     construct_optimal_path_distribution,
@@ -26,11 +27,26 @@ from pebbletools import (
     iter_compositions,
     make_cycle,
     make_path,
-    optimal_pebbling_number,
     pebbling_number,
     product_distribution,
 )
-from pebbletools.invariants import _cover_filter, _orbit_mask, _potential_filter
+from pebbletools import optimal_pebbling_number as _optimal_pebbling_number
+from pebbletools.invariants import (
+    _cover_filter,
+    _fold_verdict,
+    _orbit_mask,
+    _potential_filter,
+)
+
+
+def optimal_pebbling_number(g, **caps):
+    """The search under test, holding every value it returns in this file
+    to f_opt(G) <= ceil(2n/3), which every connected graph meets (Bunde,
+    Chambers, Cranston, Milans, West, J. Graph Theory 2008)."""
+    report = _optimal_pebbling_number(g, **caps)
+    assert report.value <= -(-2 * g.n // 3)
+    return report
+
 
 # value sequences pinned up front; every later check must reproduce them
 PATH_VALUES = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 4, 7: 5, 8: 6, 9: 6,
@@ -69,9 +85,15 @@ def test_canonical_representative_predicates():
     assert not is_cycle_canonical((0, 2, 1))  # reflection (0,1,2) is smaller
 
 
-def _relabelled(g, seed):
-    perm = list(range(g.n))
+def _permutation(n, seed):
+    perm = list(range(n))
     random.Random(seed).shuffle(perm)
+    return perm
+
+
+def _relabelled(g, seed):
+    """g with vertex v renamed _permutation(g.n, seed)[v]."""
+    perm = _permutation(g.n, seed)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
@@ -104,6 +126,86 @@ def test_layer_masks_match_per_row_definitions():
             if orbit_mask is not None:
                 assert orbit_mask(rows).tolist() \
                     == [per_row_canonical(row) for row in tuples]
+
+
+def _digits(rows):
+    """Rows with entries below 10 as decimal integers, lexicographic order
+    kept."""
+    return rows @ 10 ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def _least_image(images):
+    """Rows to their lexicographically least image under the column
+    permutations `images` (rows related by one share a verdict)."""
+    def canonical(rows):
+        stack = np.stack([rows[:, p] for p in images])
+        best = _digits(stack).argmin(axis=0)
+        return stack[best, np.arange(rows.shape[0])]
+    return canonical
+
+
+def _star(n):
+    return Graph(n, [(0, v) for v in range(1, n)])
+
+
+def _fold_cases():
+    """(graph, map of its rows to orbit representatives) on n <= 9."""
+    rng = random.Random(7)
+    for n in range(1, 10):
+        ring = list(range(n))
+        yield pytest.param(make_path(n), _least_image([ring, ring[::-1]]),
+                           id=f"path{n}")
+        if n >= 3:
+            yield pytest.param(make_cycle(n), _least_image(
+                [ring[s:] + ring[:s] for s in range(n)]
+                + [ring[::-1][s:] + ring[::-1][:s] for s in range(n)]),
+                id=f"cycle{n}")
+        if n >= 4:
+            yield pytest.param(_star(n), lambda rows: np.concatenate(
+                [rows[:, :1], np.sort(rows[:, 1:], axis=1)], axis=1),
+                id=f"star{n}")
+        if 4 <= n <= 8:
+            yield pytest.param(
+                Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]), None,
+                id=f"random_tree{n}")
+    # caterpillar: spine 0-1-2, legs 3,4 on 0, 5,6 on 1 and 7,8 on 2
+    legs = ([3, 4], [5, 6], [7, 8])
+    yield pytest.param(
+        Graph(9, [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)]),
+        _least_image([[a, 1, c] + legs[a][::x] + legs[1][::y] + legs[c][::z]
+                      for a, c in ((0, 2), (2, 0)) for x in (1, -1)
+                      for y in (1, -1) for z in (1, -1)]),
+        id="caterpillar9")
+
+
+@pytest.mark.parametrize("g,canonical", _fold_cases())
+def test_fold_verdict_matches_engine(g, canonical):
+    """On trees and cycles the fold decides every row with at most 9
+    pebbles exactly as `is_solvable` does, on g and on a relabelled copy.
+    The engine is asked once per orbit: a row of the copy is read back on
+    g's labels, and rows an automorphism of g relates share a verdict."""
+    canonical = canonical or (lambda rows: rows)
+    copy = _relabelled(g, g.n)
+    for k in range(10):
+        rows = compositions_array(k, g.n)
+        folded = np.concatenate([_fold_verdict(g)(rows), _fold_verdict(copy)(rows)])
+        on_g = np.concatenate([rows, rows[:, _permutation(g.n, g.n)]])
+        keys = canonical(on_g)
+        _, first, which = np.unique(_digits(keys), return_index=True,
+                                    return_inverse=True)
+        verdicts = np.array([is_solvable(g, Distribution(row))
+                             for row in keys[first].tolist()])
+        wrong = np.flatnonzero(folded != verdicts[which])
+        assert wrong.size == 0, on_g[wrong[0]].tolist()
+
+
+@pytest.mark.parametrize("g", [
+    cartesian_product(make_path(2), make_path(3)),
+    Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+], ids=["grid_2x3", "triangle_with_pendant", "k4"])
+def test_fold_declines_where_some_g_minus_t_has_a_cycle(g):
+    assert _fold_verdict(g) is None
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +325,24 @@ def test_optimal_number_pinned_cycle_12():
         == (8, "0,0,2,0,0,2,0,0,2,0,0,2", 125969)
 
 
+def test_optimal_number_pinned_path_15():
+    report = optimal_pebbling_number(make_path(15))
+    assert (report.value, report.witness.format(), report.distributions_examined) \
+        == (10, "0,2,0,0,2,0,0,2,0,0,2,0,0,2,0", 2290543)
+
+
+def test_optimal_number_pinned_cycle_15():
+    report = optimal_pebbling_number(make_cycle(15))
+    assert (report.value, report.witness.format(), report.distributions_examined) \
+        == (10, "0,0,2,0,0,2,0,0,2,0,0,2,0,0,2", 3076975)
+
+
 def test_optimal_number_budget_mid_layer_path_12():
     # the budget runs out inside layer 8, charged a whole chunk at a time
     with pytest.raises(BudgetError) as info:
         optimal_pebbling_number(make_path(12), max_distributions=70000)
     assert (info.value.examined, info.value.lower_bound) == (115923, 8)
+    assert info.value.upper_bound == 8  # ceil(2 * 12 / 3)
 
 
 def test_optimal_number_rejects_disconnected():
@@ -240,6 +355,7 @@ def test_optimal_number_budget():
         optimal_pebbling_number(make_cycle(6), max_distributions=5)
     assert info.value.examined >= 5
     assert info.value.lower_bound >= 1
+    assert info.value.upper_bound == 4
 
 
 def test_optimal_number_vertex_cap():
@@ -270,6 +386,12 @@ def test_pebbling_number_pinned_cycle_7():
     report = pebbling_number(make_cycle(7))
     assert (report.value, report.witness.format(), report.distributions_examined) \
         == (11, "5,5,0,0,0,0,0", 31823)
+
+
+def test_pebbling_number_pinned_path_6():
+    report = pebbling_number(make_path(6))
+    assert (report.value, report.witness.format(), report.distributions_examined) \
+        == (32, "31,0,0,0,0,0", 1387022)
 
 
 def test_pebbling_number_trivial_graph():
@@ -308,6 +430,10 @@ def test_graham_check_tight_and_strict():
     edge = graham_optimal_check(make_path(1), make_cycle(3))
     assert edge.fopt_product == 2
     assert edge.holds and edge.tight
+
+    for check in (tight, strict, edge):
+        for report in (check.report_g, check.report_h, check.report_product):
+            assert report.value <= -(-2 * len(report.witness) // 3)
 
 
 def test_graham_check_product_cap():
