@@ -20,6 +20,10 @@ with two exact ingredients:
 Both are sound, so verdicts are exact.  Witness move sequences are the
 first found under a fixed order (sources ascending, then neighbors
 ascending), which makes all outputs deterministic.
+
+`_weight_table` (these weights) and `_fold` (the transport fold, exact on
+trees and cycles) are the package's only copies of that arithmetic; the
+brute-force filters reuse both.
 """
 
 from __future__ import annotations
@@ -156,21 +160,26 @@ def _check_engine_inputs(g: Graph, d: Distribution, max_vertices: int,
         raise ValueError(f"target {target} out of range for {g.n} vertices")
 
 
-def _search_tables(g: Graph, width: int) -> tuple[list, tuple]:
-    """What every search on g with states packed `width` bits per vertex
-    needs.  Per target t: the weights 2^(D - dist(v, t)) and the depth D.
-    Per vertex v: v, a mask nonzero when v holds two or more pebbles, and
-    per neighbour u the pair (u, amount the move v->u subtracts)."""
-    weights = []
+def _weight_table(g: Graph) -> tuple:
+    """Per target t: the weights 2^(D - dist(v, t)), 0 where v cannot
+    reach t, and the depth D, t's largest finite distance."""
+    table = []
     for t in range(g.n):
         dist = g.distances_from(t)
         depth = max(dist)
-        weights.append(([0 if dv < 0 else 1 << (depth - dv) for dv in dist], depth))
+        table.append(([0 if dv < 0 else 1 << (depth - dv) for dv in dist], depth))
+    return tuple(table)
+
+
+def _search_tables(g: Graph, width: int) -> tuple[tuple, tuple]:
+    """What every search on g with states packed `width` bits per vertex
+    needs: the weight table, and per vertex v: v, a mask nonzero when v
+    holds two or more pebbles, and per neighbour u the pair (u, amount the
+    move v->u subtracts)."""
     unit = [1 << v * width for v in range(g.n)]
     high = (1 << width) - 2
-    return weights, tuple([(v, high * unit[v],
-                            tuple([(u, 2 * unit[v] - unit[u]) for u in g.neighbors(v)]))
-                           for v in range(g.n)])
+    return g.derived(_weight_table), tuple([(v, high * unit[v], tuple(
+        [(u, 2 * unit[v] - unit[u]) for u in g.neighbors(v)])) for v in range(g.n)])
 
 
 def _reach(g: Graph, counts: tuple[int, ...], target: int, need: int,
@@ -282,26 +291,64 @@ def max_pebbles_to(g: Graph, d: Distribution, target: int, *,
     return need - 1
 
 
-def max_pebbles_to_path_greedy(g: Graph, d: Distribution, target: int) -> int:
-    """Closed-form transport maximum on a canonically indexed path.
+def _fold_schedule(g: Graph) -> tuple:
+    """Per target t, per neighbour u of t: u and the (child, parent) pairs
+    of u's component in G - t rooted at u, leaves first (reverse BFS
+    order, so every child comes before its parent)."""
+    schedule = []
+    for t in range(g.n):
+        roots = []
+        for u in g.neighbors(t):
+            order, parent = [u], {t: t, u: t}
+            for v in order:
+                for w in g.neighbors(v):
+                    if w not in parent:
+                        parent[w] = v
+                        order.append(w)
+            roots.append((u, tuple((v, parent[v]) for v in reversed(order[1:]))))
+        schedule.append(tuple(roots))
+    return tuple(schedule)
 
-    Fold pebbles inward from each end: carry = (carry + counts[i]) // 2 at
-    every vertex strictly between an end and the target.  The two carries
-    plus the target's own pebbles give the exact maximum; agreement with
-    the generic engine is enforced by the test suite.
+
+def _fold(counts, target: int, schedule: tuple):
+    """The transport fold toward t = target: counts[t] plus, per neighbour
+    u of t, floor(m(u) / 2), where m(v) = c_v + the sum of floor(m(x) / 2)
+    over the children x of v in u's component of G - t, rooted at u.
+    `counts` is a tuple of ints or the columns of a chunk of rows, folded
+    at once by the same + and >> 1.  On a tree this is the most pebbles
+    moves can put on t; on a tree or a cycle t is reachable iff it is >= 1.
+
+    Lemma.  Let t hold no pebble.  No move before the first arrival at t
+    takes a pebble from t (it has none) or puts one there (it is the
+    first), so those moves stay inside G - t, and the first arrival is a
+    move u -> t from a neighbour u holding 2.  So t is reachable iff some
+    neighbour u of t can collect 2 pebbles in G - t.
+
+    On a forest the most pebbles u can collect is m(u), rooted at u.
+    Folding leaves first attains it.  No sequence beats it: if a_v moves
+    go from v to its parent and b_v come back, the count left on v gives
+    2a_v <= c_v + b_v + sum over children x of (a_x - 2b_x).  By induction
+    from the leaves 2a_x <= m(x) + b_x, so the integer a_x - 2b_x is at
+    most floor(m(x) / 2); hence 2a_v <= m(v) + b_v, and the count on the
+    root u is at most m(u).  On a tree, rooting the same argument at t
+    gives the maximum on t itself.  On a cycle G - t is one path that
+    holds both neighbours, so the sum can count a pebble twice; but some
+    term reaches 1 iff some neighbour collects 2, which is the verdict.
     """
+    total = counts[target]
+    for u, pairs in schedule[target]:
+        carry = {}
+        for c, p in pairs:
+            carry[p] = carry.get(p, 0) + ((carry.get(c, 0) + counts[c]) >> 1)
+        total = total + ((counts[u] + carry.get(u, 0)) >> 1)
+    return total
+
+
+def max_pebbles_to_path_greedy(g: Graph, d: Distribution, target: int) -> int:
+    """Closed-form transport maximum on a canonically indexed path: the
+    fold toward `target`, exact on every tree; the test suite holds it to
+    the generic engine."""
     if not is_canonical_path(g):
         raise ValueError("greedy transport requires a canonically indexed path")
-    if len(d.counts) != g.n:
-        raise ValueError(f"distribution has {len(d.counts)} entries, "
-                         f"graph has {g.n} vertices")
-    if not 0 <= target < g.n:
-        raise ValueError(f"target {target} out of range for {g.n} vertices")
-    counts = d.counts
-    left = 0
-    for i in range(target):
-        left = (left + counts[i]) // 2
-    right = 0
-    for i in range(g.n - 1, target, -1):
-        right = (right + counts[i]) // 2
-    return left + right + counts[target]
+    _check_engine_inputs(g, d, g.n, d.size, target)
+    return _fold(d.counts, target, g.derived(_fold_schedule))

@@ -21,17 +21,23 @@ import numpy as np
 
 def iter_compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
     """Yield every length-tuple of non-negative ints summing to total,
-    in colexicographic order."""
+    in colexicographic order: with i the lowest occupied index, v = c_i,
+    the next row sets c_i = 0, then c_0 = v - 1 and c_{i+1} += 1; the last
+    row has every pebble on the last index."""
     if length < 1:
         raise ValueError("length must be at least 1")
     if total < 0:
         raise ValueError("total must be non-negative")
-    if length == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for head in iter_compositions(total - last, length - 1):
-            yield head + (last,)
+    counts = [total] + [0] * (length - 1)
+    low = 0 if total else length - 1
+    while True:
+        yield tuple(counts)
+        if low == length - 1:
+            return
+        v, counts[low] = counts[low], 0
+        counts[0] = v - 1
+        counts[low + 1] += 1
+        low = 0 if v > 1 else low + 1
 
 
 def compositions_array(total: int, length: int) -> np.ndarray:
@@ -101,11 +107,21 @@ def path_canonical_mask(rows: np.ndarray) -> np.ndarray:
 
 
 def cycle_canonical_mask(rows: np.ndarray) -> np.ndarray:
-    """`is_cycle_canonical` of every row of a 2-d array, as a boolean mask:
-    compared against the n - 1 proper rotations and the n rotations of the
-    mirror."""
+    """`is_cycle_canonical` of every row of a 2-d array, as a boolean mask.
+
+    With rho^s(r)_i = r_{i+s} and mu_j(r)_i = r_{j-i} (indices mod n), a
+    row meets only the 2n - 4 images K = rho^2..rho^{n-2}, mu_0..mu_{n-2};
+    a row at most every image in K is at most rho^1, rho^{n-1} and mu_{n-1}
+    too.  (1) r_0 = a is r's least entry: an r_i < a puts rho^i (2 <= i <=
+    n - 2) or mu_1 (i = 1) below r, and if only r_{n-1} < a, mu_0(r) =
+    (a, r_{n-1}, ...) is below r at 1.  (2) Unless r is constant (and equal
+    to all its images), let r_0..r_{p-1} = a and r_p > a.  Were r_{n-1} = a,
+    mu_{p-1}(r) would be a on 0..p, below r at p; so r_{n-1} > a.  (3) So
+    rho^{n-1}(r) and mu_{n-1}(r) start above r_0, and rho^1(r) has r_p > a
+    at p - 1: all three are above r.
+    """
     n = rows.shape[1]
     ring = np.arange(n)
-    images = [np.roll(ring, -s) for s in range(1, n)]
-    images += [np.roll(ring[::-1], -s) for s in range(n)]
+    images = [np.roll(ring, -s) for s in range(2, n - 1)]
+    images += [np.roll(ring[::-1], -s) for s in range(1, n)]
     return _lex_minimal_mask(rows, images)

@@ -13,14 +13,14 @@ verdicts:
 
 * reject: a vertex whose weighted potential sum(c_v * 2^-dist) falls below
   1 can never be reached, so the distribution is unsolvable (one matmul
-  with integer weights, exact in float64);
+  with the engine's integer weights, exact in float64);
 * accept: if every vertex has a single pile holding 2^dist pebbles, each
   vertex is reachable on its own, so the distribution is solvable (one
   bitmask OR per vertex);
-* fold: on trees and cycles, where G - t is a forest for every t, a
-  leaf-to-root transport fold decides every distribution exactly (one
-  column operation per edge of the component of G - t at each neighbour
-  of t); the test suite holds it to the engine.
+* fold: on trees and cycles, where G - t is a forest for every t, the
+  engine's leaf-to-root transport fold decides every distribution exactly
+  (one column operation per edge of the component of G - t at each
+  neighbour of t); the test suite holds it to the engine's search.
 
 On the canonically indexed path and cycle an array orbit mask keeps only
 orbit representatives.  On trees and cycles no distribution reaches the
@@ -37,6 +37,9 @@ from .engine import (
     MAX_ENGINE_PEBBLES,
     MAX_ENGINE_VERTICES,
     Distribution,
+    _fold,
+    _fold_schedule,
+    _weight_table,
     is_solvable,
 )
 # is_path_canonical / is_cycle_canonical are unused here, but perfbench/spans.py
@@ -126,21 +129,7 @@ def formula_fopt_cycle(n: int) -> int:
     """Optimal pebbling number of the n-vertex cycle (n >= 3): 2t + r."""
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    d = decompose_3t_r(n)
-    return 2 * d.t + d.r
-
-
-def _construct_two_per_block(n: int) -> Distribution:
-    d = decompose_3t_r(n)
-    counts = [0] * n
-    for i in range(3 * d.t):
-        if i % 3 == 1:
-            counts[i] = 2
-    if d.r >= 1:
-        counts[3 * d.t] = 1
-    if d.r == 2:
-        counts[3 * d.t + 1] = 1
-    return Distribution(tuple(counts))
+    return formula_fopt_path(n)
 
 
 def construct_optimal_path_distribution(n: int) -> Distribution:
@@ -150,16 +139,18 @@ def construct_optimal_path_distribution(n: int) -> Distribution:
     every leftover vertex.  Every vertex ends up occupied or adjacent to a
     two-pebble pile, so the distribution is solvable by a single move.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return _construct_two_per_block(n)
+    d = decompose_3t_r(n)
+    counts = [0] * n
+    counts[1:3 * d.t:3] = [2] * d.t
+    counts[3 * d.t:] = [1] * d.r
+    return Distribution(tuple(counts))
 
 
 def construct_optimal_cycle_distribution(n: int) -> Distribution:
     """Solvable distribution of size 2t + r on the n-vertex cycle (n >= 3)."""
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return _construct_two_per_block(n)
+    return construct_optimal_path_distribution(n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +162,17 @@ def _potential_filter(g: Graph, k: int):
     to the mask of rows whose potential sum(c_v * 2^-dist(v, t)) reaches 1
     at every target t.  A row outside the mask is unsolvable.
 
-    The weights are the integers 2^(D - dist(v, t)) against the threshold
-    2^D, D the largest finite distance, so a size-k row weighs at most
+    The engine's weights, rescaled to 2^(D - dist(v, t)) with D the largest
+    depth, face the one threshold 2^D, so a size-k row weighs at most
     k * 2^D.  Below 2^53 every float64 product and sum is an exact
     integer; at or above it (a diameter near 50) the weights are Python
     integers, which numpy sums exactly in an object array.
     """
-    n = g.n
-    dists = [g.distances_from(t) for t in range(n)]
-    depth = max(d for row in dists for d in row)
+    table = g.derived(_weight_table)
+    depth = max(d for _, d in table)
     exact_float = k << depth < 1 << 53
-    weights = np.zeros((n, n), dtype=np.float64 if exact_float else object)
-    for t, row in enumerate(dists):
-        for v, dv in enumerate(row):
-            if dv >= 0:
-                weights[t, v] = 1 << (depth - dv)
+    weights = np.array([[w << (depth - d) for w in row] for row, d in table],
+                       dtype=np.float64 if exact_float else object)
     threshold = float(1 << depth) if exact_float else 1 << depth
 
     def reaches_all(chunk: np.ndarray) -> np.ndarray:
@@ -201,15 +188,16 @@ def _cover_filter(g: Graph, k: int):
     least 2^dist(v, t) pebbles.  A row inside the mask is solvable.
 
     cover[v][c] is the bitmask of the targets that c pebbles on v reach on
-    their own, so a row is screened by one OR per vertex.  The masks are
-    uint64 up to 64 vertices and Python integers beyond.
+    their own, c * w >= 2^D with w and D from the engine's weight table,
+    so a row is screened by one OR per vertex.  The masks are uint64 up to
+    64 vertices and Python integers beyond.
     """
     n = g.n
     table = [[0] * (k + 1) for _ in range(n)]
-    for t in range(n):
-        for v, dv in enumerate(g.distances_from(t)):
-            if dv >= 0:
-                for c in range(1 << dv, k + 1):
+    for t, (weights, depth) in enumerate(g.derived(_weight_table)):
+        for v, w in enumerate(weights):
+            if w:
+                for c in range((1 << depth) // w, k + 1):
                     table[v][c] |= 1 << t
     dtype = np.uint64 if n <= 64 else object
     cover = np.array(table, dtype=dtype)
@@ -224,51 +212,13 @@ def _cover_filter(g: Graph, k: int):
     return covers_all
 
 
-def _fold_schedule(g: Graph) -> tuple:
-    """Per target t, per neighbour u of t: u and the (child, parent) pairs
-    of u's component in G - t rooted at u, leaves first (reverse BFS
-    order, so every child comes before its parent)."""
-    schedule = []
-    for t in range(g.n):
-        roots = []
-        for u in g.neighbors(t):
-            order, parent = [u], {t: t, u: t}
-            for v in order:
-                for w in g.neighbors(v):
-                    if w not in parent:
-                        parent[w] = v
-                        order.append(w)
-            roots.append((u, tuple((v, parent[v]) for v in reversed(order[1:]))))
-        schedule.append(tuple(roots))
-    return tuple(schedule)
-
-
 def _fold_verdict(g: Graph):
-    """Exact solvability of whole chunks of rows by transport folds, for
-    the connected graphs on which G - t is a forest for every t: trees
-    and cycles.  Returns a function from a chunk to its solvable mask, or
-    None for every other graph.
-
-    Lemma.  Let t hold no pebble.  No move before the first arrival at t
-    takes a pebble from t (it has none) or puts one there (it is the
-    first), so those moves stay inside G - t, and the first arrival is a
-    move u -> t from a neighbour u holding 2.  So t is reachable iff some
-    neighbour u of t can collect 2 pebbles in G - t.
-
-    On a forest the most pebbles u can collect is the leaf-to-root fold
-    m(v) = c_v + sum of floor(m(x) / 2) over the children x of v in u's
-    component, rooted at u.  Folding leaves first attains it.  No sequence
-    beats it: if a_v moves go from v to its parent and b_v come back,
-    the count left on v gives 2a_v <= c_v + b_v + sum over children x of
-    (a_x - 2b_x).  By induction from the leaves 2a_x <= m(x) + b_x, so the
-    integer a_x - 2b_x is at most floor(m(x) / 2); hence 2a_v <= m(v) + b_v,
-    and the count on the root u is at most m(u).
-
-    A tree has n - 1 edges; a connected graph whose degrees are all 2 is a
-    cycle.  Both are read from the edges, never from the label.  The
-    schedule lives with the graph; a chunk costs one column operation per
-    (child, parent) pair, carry[p] += (carry[c] + row[c]) >> 1, and no
-    Python per row.
+    """Exact solvability of whole chunks of rows, for the connected graphs
+    on which G - t is a forest for every t: trees (n - 1 edges) and cycles
+    (every degree 2), read from the edges.  Returns a function from a
+    chunk to its solvable mask, or None for every other graph.  A row is
+    solvable iff `engine._fold` (lemma and proof there) is at least 1 at
+    every target; rows leave after the first target they miss.
     """
     if not g.is_connected() or (
             g.edge_count != g.n - 1 and any(g.degree(v) != 2 for v in range(g.n))):
@@ -277,13 +227,8 @@ def _fold_verdict(g: Graph):
 
     def solvable_rows(chunk: np.ndarray) -> np.ndarray:
         alive, cols = np.arange(chunk.shape[0]), chunk.T
-        for t, roots in enumerate(schedule):
-            reached = cols[t] > 0
-            for u, pairs in roots:
-                carry = {}
-                for c, p in pairs:
-                    carry[p] = carry.get(p, 0) + ((carry.get(c, 0) + cols[c]) >> 1)
-                reached |= cols[u] + carry.get(u, 0) >= 2
+        for t in range(g.n):
+            reached = _fold(cols, t, schedule) > 0
             alive, cols = alive[reached], cols[:, reached]
         solvable = np.zeros(chunk.shape[0], dtype=bool)
         solvable[alive] = True
@@ -317,11 +262,9 @@ class _LayerScanner:
     accept verdict or the engine decides it.
     """
 
-    def __init__(self, g: Graph, budget: int | None, engine_caps: dict,
-                 orbit_mask=None):
+    def __init__(self, g: Graph, budget: int | None, orbit_mask=None):
         self.g = g
         self.budget = budget
-        self.engine_caps = engine_caps
         self.orbit_mask = orbit_mask
         self.fold = _fold_verdict(g)
         self.examined = 0
@@ -361,7 +304,8 @@ class _LayerScanner:
             for i, sure in enumerate(decided(picked).tolist()):
                 row = tuple(picked[i].tolist())
                 if sure or is_solvable(self.g, Distribution(row),
-                                       **self.engine_caps) == solvable:
+                                       max_vertices=self.g.n,
+                                       max_pebbles=k) == solvable:
                     return row
         return None
 
@@ -381,10 +325,7 @@ def optimal_pebbling_number(g: Graph, *,
         raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
     if not g.is_connected():
         raise ValueError("graph is disconnected; no distribution is solvable")
-    scanner = _LayerScanner(
-        g, max_distributions,
-        {"max_vertices": max_vertices, "max_pebbles": max_pebbles},
-        _orbit_mask(g))
+    scanner = _LayerScanner(g, max_distributions, _orbit_mask(g))
     try:
         for k in range(1, max_pebbles + 1):
             row = scanner.first(k, solvable=True)
@@ -412,10 +353,7 @@ def pebbling_number(g: Graph, *,
         raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
     if not g.is_connected():
         raise ValueError("graph is disconnected; no distribution is solvable")
-    scanner = _LayerScanner(
-        g, max_distributions,
-        {"max_vertices": max(g.n, MAX_ENGINE_VERTICES),
-         "max_pebbles": max(max_value, MAX_ENGINE_PEBBLES)})
+    scanner = _LayerScanner(g, max_distributions)
     witness = Distribution((0,) * g.n)
     for size in range(1, max_value + 1):
         row = scanner.first(size, solvable=False)
@@ -445,17 +383,20 @@ def graham_optimal_check(g: Graph, h: Graph, *,
                          max_distributions: int | None = None) -> GrahamCheck:
     """Test f_opt(G x H) <= f_opt(G) * f_opt(H) by exact computation; the
     caps apply to all three searches, the product being the largest.  A
-    BudgetError's examined also counts the searches that finished first."""
+    BudgetError names the search that ran out (f_opt(G), f_opt(H) or
+    f_opt(G x H)) and keeps its bounds; its examined also counts the
+    searches that finished first."""
     prod = cartesian_product(g, h, max_vertices=max_vertices)
     caps = {"max_vertices": max_vertices, "max_pebbles": max_pebbles,
             "max_distributions": max_distributions}
     reports = []
-    try:
-        for x in (g, h, prod):
+    for name, x in (("f_opt(G)", g), ("f_opt(H)", h), ("f_opt(G x H)", prod)):
+        try:
             reports.append(optimal_pebbling_number(x, **caps))
-    except BudgetError as exc:
-        exc.examined += sum(r.distributions_examined for r in reports)
-        raise
+        except BudgetError as exc:
+            exc.args = (f"{name}: {exc}",)
+            exc.examined += sum(r.distributions_examined for r in reports)
+            raise
     report_g, report_h, report_p = reports
     bound = report_g.value * report_h.value
     return GrahamCheck(

@@ -27,10 +27,12 @@ from pebbletools import (
     iter_compositions,
     make_cycle,
     make_path,
+    max_pebbles_to,
     pebbling_number,
     product_distribution,
 )
 from pebbletools import optimal_pebbling_number as _optimal_pebbling_number
+from pebbletools.engine import _fold, _fold_schedule
 from pebbletools.invariants import (
     _cover_filter,
     _fold_verdict,
@@ -77,6 +79,10 @@ def test_composition_counts():
     assert len(list(iter_compositions(5, 4))) == 56
 
 
+def test_compositions_of_long_rows_do_not_recurse():
+    assert sum(1 for _ in iter_compositions(1, 5000)) == 5000
+
+
 def test_canonical_representative_predicates():
     assert is_path_canonical((0, 2, 1))
     assert not is_path_canonical((1, 2, 0))
@@ -98,21 +104,19 @@ def _relabelled(g, seed):
 
 
 def test_layer_masks_match_per_row_definitions():
-    """The scanner's array masks agree with their per-row definitions on
-    every row: reject (potential below 1 at some target), accept (every
-    target has a pile of 2^dist) and the orbit representatives."""
-    graphs = []
+    """The scanner's reject and accept masks agree with their per-row
+    definitions on every row: reject (potential below 1 at some target)
+    and accept (every target has a pile of 2^dist)."""
+    graphs = [cartesian_product(make_path(2), make_path(3)),
+              cartesian_product(make_path(3), make_path(3)),
+              Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+              Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])]
     for n in range(1, 8):
         graphs += [make_path(n), _relabelled(make_path(n), n)]
         if n >= 3:
             graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
     for g in graphs:
         dist = [g.distances_from(t) for t in range(g.n)]
-        orbit_mask = _orbit_mask(g)
-        per_row_canonical = (is_path_canonical if is_canonical_path(g)
-                             else is_cycle_canonical if is_canonical_cycle(g)
-                             else None)
-        assert (orbit_mask is None) == (per_row_canonical is None)
         for k in range(7):
             rows = compositions_array(k, g.n)
             tuples = [tuple(r) for r in rows.tolist()]
@@ -123,9 +127,30 @@ def test_layer_masks_match_per_row_definitions():
                               for t in range(g.n)) for row in tuples]
             assert _potential_filter(g, k)(rows).tolist() == reaches_all
             assert _cover_filter(g, k)(rows).tolist() == covers_all
-            if orbit_mask is not None:
-                assert orbit_mask(rows).tolist() \
-                    == [per_row_canonical(row) for row in tuples]
+
+
+def test_orbit_masks_match_per_row_definitions():
+    """The orbit mask keeps exactly the rows the per-row predicate calls
+    canonical, on every row with at most 7 pebbles and n <= 11; the cycle
+    mask compares 2n - 4 images, the predicate all 2n.  A graph gets a mask
+    iff it is the canonically indexed path or cycle."""
+    graphs = []
+    for n in range(1, 12):
+        graphs += [make_path(n), _relabelled(make_path(n), n)]
+        if n >= 3:
+            graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
+    for g in graphs:
+        orbit_mask = _orbit_mask(g)
+        per_row_canonical = (is_path_canonical if is_canonical_path(g)
+                             else is_cycle_canonical if is_canonical_cycle(g)
+                             else None)
+        assert (orbit_mask is None) == (per_row_canonical is None)
+        if orbit_mask is None:
+            continue
+        for k in range(8):
+            rows = compositions_array(k, g.n)
+            assert orbit_mask(rows).tolist() \
+                == [per_row_canonical(row) for row in map(tuple, rows.tolist())]
 
 
 def _digits(rows):
@@ -206,6 +231,38 @@ def test_fold_verdict_matches_engine(g, canonical):
 ], ids=["grid_2x3", "triangle_with_pendant", "k4"])
 def test_fold_declines_where_some_g_minus_t_has_a_cycle(g):
     assert _fold_verdict(g) is None
+
+
+def _fold_graphs(trees_only=False):
+    for case in _fold_cases():
+        g = case.values[0]
+        if not trees_only or g.edge_count == g.n - 1:
+            yield pytest.param(g, id=case.id)
+
+
+@pytest.mark.parametrize("g", _fold_graphs())
+def test_fold_on_ints_equals_fold_on_columns(g):
+    """The engine's fold gives the same value at every target on a tuple
+    of ints as on the columns of a chunk, for every row with k <= 6."""
+    schedule = _fold_schedule(g)
+    for k in range(7):
+        rows = compositions_array(k, g.n)
+        tuples = list(map(tuple, rows.tolist()))
+        for t in range(g.n):
+            assert _fold(rows.T, t, schedule).tolist() \
+                == [_fold(row, t, schedule) for row in tuples]
+
+
+@pytest.mark.parametrize("g", _fold_graphs(trees_only=True))
+def test_fold_is_max_pebbles_to_on_trees(g):
+    """On a tree the fold at t is the most pebbles moves can put on t, for
+    every row with k <= 6 and every target."""
+    schedule = _fold_schedule(g)
+    for k in range(7):
+        for row in iter_compositions(k, g.n):
+            d = Distribution(row)
+            assert [_fold(row, t, schedule) for t in range(g.n)] \
+                == [max_pebbles_to(g, d, t) for t in range(g.n)], row
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +491,21 @@ def test_graham_check_tight_and_strict():
     for check in (tight, strict, edge):
         for report in (check.report_g, check.report_h, check.report_product):
             assert report.value <= -(-2 * len(report.witness) // 3)
+
+
+def test_graham_budget_names_the_search_that_stopped():
+    """The product search stops: its bounds, and all the rows examined."""
+    with pytest.raises(BudgetError) as info:
+        graham_optimal_check(make_path(3), make_path(3), max_distributions=200)
+    assert str(info.value) == "f_opt(G x H): distribution budget 200 exhausted"
+    assert (info.value.lower_bound, info.value.upper_bound,
+            info.value.examined) == (3, 6, 237)
+    # The first factor stops: C4's bounds.
+    with pytest.raises(BudgetError) as info:
+        graham_optimal_check(make_cycle(4), make_path(3), max_distributions=20)
+    assert str(info.value) == "f_opt(G): distribution budget 20 exhausted"
+    assert (info.value.lower_bound, info.value.upper_bound,
+            info.value.examined) == (3, 3, 34)
 
 
 def test_graham_check_product_cap():
