@@ -13,6 +13,7 @@ Graph specs follow the grammar
 
     SPEC := "path:" INT | "cycle:" INT | "product(" SPEC "," SPEC ")"
           | "file:" PATH
+    PAIR := SPEC "," SPEC        (graham; whitespace allowed around each SPEC)
 
 Exit codes: 0 success/holds, 1 verification failure or unreachable,
 2 usage or parse error, 3 budget or size cap exceeded, 4 no surgery
@@ -109,32 +110,39 @@ class _SpecParser:
             return load_edge_list(path)
         raise self.fail("expected path:, cycle:, product(, or file:")
 
+    def spaces(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def spaced_spec(self) -> tuple[str, Graph]:
+        """A spec with optional whitespace on either side, and its text
+        stripped of that whitespace."""
+        self.spaces()
+        start = self.pos
+        g = self.spec()
+        self.spaces()
+        return self.text[start:self.pos].strip(), g
+
+    def pair(self) -> tuple[tuple[str, str], tuple[Graph, Graph]]:
+        """PAIR: the two spec texts and their graphs."""
+        spec_g, g = self.spaced_spec()
+        if not self.literal(","):
+            raise self.fail("expected a comma between the two specs of a pair")
+        spec_h, h = self.spaced_spec()
+        self.end()
+        return (spec_g, spec_h), (g, h)
+
+    def end(self) -> None:
+        if self.pos != len(self.text):
+            raise self.fail("unexpected trailing input")
+
 
 def parse_graph_spec(s: str) -> Graph:
     """Parse a graph spec string into a Graph."""
     parser = _SpecParser(s.strip())
     g = parser.spec()
-    if parser.pos != len(parser.text):
-        raise parser.fail("unexpected trailing input")
+    parser.end()
     return g
-
-
-def _split_pair(s: str) -> tuple[str, str]:
-    """Split "SPEC,SPEC" at the single top-level comma."""
-    depth = 0
-    cut = None
-    for idx, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            if cut is not None:
-                raise ValueError(f"pair {s!r} has more than one top-level comma")
-            cut = idx
-    if cut is None:
-        raise ValueError(f"pair {s!r} needs a top-level comma between factors")
-    return s[:cut].strip(), s[cut + 1:].strip()
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +282,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # graham
 
 
-def _graham_row(args: argparse.Namespace, pair: tuple[str, str]) -> dict:
-    spec_g, spec_h = pair
-    base = {"g": spec_g, "h": spec_h, "fopt_g": None, "fopt_h": None,
+def _graham_row(args: argparse.Namespace, specs: tuple[str, str],
+                graphs: tuple[Graph, Graph]) -> dict:
+    base = {"g": specs[0], "h": specs[1], "fopt_g": None, "fopt_h": None,
             "fopt_product": None, "bound": None, "holds": None,
             "tight": None, "examined": 0, "error": None}
     try:
-        g = parse_graph_spec(spec_g)
-        h = parse_graph_spec(spec_h)
-        check = graham_optimal_check(g, h, max_distributions=args.budget_states,
+        check = graham_optimal_check(*graphs, max_distributions=args.budget_states,
                                      **_search_kwargs(args))
     except (BudgetError, SizeLimitError) as exc:
         base.update(examined=getattr(exc, "examined", 0), error=str(exc))
@@ -296,9 +302,10 @@ def _graham_row(args: argparse.Namespace, pair: tuple[str, str]) -> dict:
 
 def cmd_graham(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    # Split every pair before any search, so a malformed one is a usage error.
-    pairs = [_split_pair(pair) for pair in args.pairs]
-    rows = [_graham_row(args, pair) for pair in pairs]
+    # Parse every pair and build its graphs before any search, so any bad
+    # spec ends the run before a search starts.
+    pairs = [_SpecParser(pair).pair() for pair in args.pairs]
+    rows = [_graham_row(args, specs, graphs) for specs, graphs in pairs]
     all_hold = all(row["holds"] is True for row in rows)
     lines = []
     for r in rows:
@@ -312,7 +319,7 @@ def cmd_graham(args: argparse.Namespace) -> int:
             f"{r['fopt_g']}*{r['fopt_h']} = {r['bound']} -> {verdict}")
     lines.append(f"all pairs hold: {str(all_hold).lower()}")
     return _table(args, started, "graham",
-                  {"pairs": [list(pair) for pair in pairs]},
+                  {"pairs": [list(specs) for specs, _ in pairs]},
                   ["g", "h", "fopt_g", "fopt_h", "fopt_product", "bound",
                    "holds", "tight"], rows, "{g} x {h}", "all_hold", all_hold,
                   lines)

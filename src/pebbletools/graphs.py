@@ -19,15 +19,13 @@ MAX_ISOMORPHISM_VERTICES = 10
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Duplicate edges are ignored; self-loops are rejected.  `label` is
-    cosmetic metadata (the CLI round-trips graph specs through it) and is
-    excluded from equality.
+    Duplicate edges are ignored; self-loops are rejected.  A graph is its
+    edges: equality and hashing read the adjacency alone.
     """
 
-    __slots__ = ("n", "label", "_nbrs", "_bits", "_m", "_derived")
+    __slots__ = ("n", "_nbrs", "_m", "_derived")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 label: str | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         sets: list[set[int]] = [set() for _ in range(n)]
@@ -39,15 +37,7 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
-        self.label = label
         self._nbrs = tuple(tuple(sorted(s)) for s in sets)
-        bits = []
-        for s in sets:
-            row = 0
-            for w in s:
-                row |= 1 << w
-            bits.append(row)
-        self._bits = tuple(bits)
         self._m = sum(len(s) for s in sets) // 2
         self._derived: dict[tuple, object] = {}
 
@@ -56,7 +46,8 @@ class Graph:
         return self._m
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._bits[u] >> v) & 1)
+        """True when u and v are vertices joined by an edge."""
+        return 0 <= u < self.n and v in self._nbrs[u]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]
@@ -102,14 +93,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._bits == other._bits
+        return self._nbrs == other._nbrs
 
     def __hash__(self) -> int:
-        return hash((self.n, self._bits))
+        return hash(self._nbrs)
 
     def __repr__(self) -> str:
-        tag = f", label={self.label!r}" if self.label else ""
-        return f"Graph(n={self.n}, edges={self._m}{tag})"
+        return f"Graph(n={self.n}, edges={self._m})"
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +110,14 @@ def make_path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i, i+1}."""
     if n < 1:
         raise ValueError(f"path needs at least 1 vertex, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], label=f"path:{n}")
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def make_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, edges {i, (i+1) mod n}."""
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)], label=f"cycle:{n}")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def is_canonical_path(g: Graph) -> bool:
@@ -177,10 +167,7 @@ def cartesian_product(g: Graph, h: Graph, *,
     for a1, a2 in g.edges():
         for b in range(h.n):
             edges.append((a1 * h.n + b, a2 * h.n + b))
-    label = None
-    if g.label and h.label:
-        label = f"product({g.label},{h.label})"
-    return Graph(n, edges, label=label)
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +261,7 @@ def are_isomorphic(g: Graph, h: Graph, *,
 # edge-list files
 
 
-def read_edge_list(text: str, *, label: str | None = None) -> Graph:
+def read_edge_list(text: str) -> Graph:
     """Parse an edge-list document.
 
     First significant line: vertex count n.  Every following significant
@@ -310,13 +297,13 @@ def read_edge_list(text: str, *, label: str | None = None) -> Graph:
     if n is None:
         raise ValueError("empty edge-list document: missing vertex count")
     try:
-        return Graph(n, edges, label=label)
+        return Graph(n, edges)
     except ValueError as exc:
         raise ValueError(f"invalid edge list: {exc}") from None
 
 
 def load_edge_list(path: str) -> Graph:
-    """Read an edge-list file from disk; the graph is labeled file:<path>."""
+    """Read an edge-list file from disk (see read_edge_list)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return read_edge_list(text, label=f"file:{path}")
+    return read_edge_list(text)

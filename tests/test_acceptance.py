@@ -152,7 +152,7 @@ def test_criterion_06_product_bound_holds_on_small_factor_pairs():
         pairs += 1
         check = graham_optimal_check(g, h)
         if not check.holds:
-            violations.append((g.label, h.label, check.fopt_product,
+            violations.append((g, h, check.fopt_product,
                                check.bound))
     elapsed = time.perf_counter() - start
     ok = not violations and elapsed < 600
@@ -172,7 +172,7 @@ def test_criterion_07_product_distributions_stay_solvable():
             for dh in solvable_distributions(h, 3):
                 checked += 1
                 if not is_solvable(prod, product_distribution(dg, dh)):
-                    failures.append((g.label, h.label, dg.counts, dh.counts))
+                    failures.append((g, h, dg.counts, dh.counts))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 600
     detail = f"{checked} factor-pair products solvable, {elapsed:.2f}s" \
@@ -275,7 +275,7 @@ def test_criterion_11_engine_self_consistency():
                     if report.verdict:
                         replay_checks += 1
                         if replay(g, d, report.witness)[t] < 1:
-                            problems.append(("replay", g.label, counts, t))
+                            problems.append(("replay", g, counts, t))
                     base = max_pebbles_to(g, d, t)
                     for u in range(g.n):
                         bumped = list(counts)
@@ -283,7 +283,7 @@ def test_criterion_11_engine_self_consistency():
                         dominance_checks += 1
                         if max_pebbles_to(g, Distribution(tuple(bumped)),
                                           t) < base:
-                            problems.append(("dominance", g.label, counts,
+                            problems.append(("dominance", g, counts,
                                              u, t))
     elapsed = time.perf_counter() - start
     ok = not problems
@@ -302,7 +302,7 @@ def test_criterion_12_classical_numbers_with_witnesses():
         witness_ok = (report.witness.size == report.value - 1
                       and not is_solvable(g, report.witness))
         if report.value != want or not witness_ok:
-            bad.append((g.label, report.value, want, witness_ok))
+            bad.append((g, report.value, want, witness_ok))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 60
     detail = (f"P2=2 P3=4 C4=4 with unsolvable witnesses of size value-1, "

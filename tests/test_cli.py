@@ -13,6 +13,7 @@ from pebbletools import (
     Distribution,
     Move,
     SurgeryResult,
+    cartesian_product,
     formula_fopt_path,
     make_cycle,
     make_path,
@@ -41,8 +42,7 @@ def test_parse_spec_families():
 
 def test_parse_spec_product():
     g = parse_graph_spec("product(path:3,path:3)")
-    assert g.n == 9
-    assert g.label == "product(path:3,path:3)"
+    assert g == cartesian_product(make_path(3), make_path(3))
 
 
 def test_parse_spec_nested_product():
@@ -242,6 +242,26 @@ def test_graham_malformed_pair_exit_2(capsys):
     code, _, err = run(capsys, "graham", "path:3")
     assert code == 2
     assert "comma" in err
+
+
+def test_graham_pair_follows_the_spec_grammar(capsys, tmp_path):
+    # a file path may hold "(": the pair splits where the grammar does
+    path = tmp_path / "p(3.edges"
+    path.write_text("3\n0 1\n1 2\n")
+    code, out, _ = run(capsys, "graham", f" file:{path} , path:2 ", "--json")
+    assert code == 0
+    row = json.loads(out)["result"]["rows"][0]
+    assert (row["g"], row["h"]) == (f"file:{path}", "path:2")
+    code, out, _ = run(capsys, "fopt", f"product(file:{path},path:2)", "--json")
+    assert code == 0
+    assert row["fopt_product"] == json.loads(out)["result"]["value"] == 3
+
+
+def test_graham_builds_every_pair_before_any_search(capsys):
+    code, out, err = run(capsys, "graham", "path:2,path:2",
+                         "product(cycle:9,cycle:9),path:2", "--json")
+    assert (code, out) == (3, "")
+    assert "product would have 81 vertices" in err
 
 
 def test_graham_oversized_product_exit_3(capsys):

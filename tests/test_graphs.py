@@ -28,7 +28,6 @@ from pebbletools import (
 def test_make_path_structure():
     g = make_path(5)
     assert g.n == 5
-    assert g.label == "path:5"
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert g.neighbors(0) == (1,)
     assert g.neighbors(2) == (1, 3)
@@ -50,7 +49,6 @@ def test_make_path_rejects_zero():
 def test_make_cycle_structure():
     g = make_cycle(4)
     assert g.n == 4
-    assert g.label == "cycle:4"
     assert sorted(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert g.neighbors(0) == (1, 3)
 
@@ -82,6 +80,13 @@ def test_has_edge_symmetric():
     assert not g.has_edge(0, 2)
 
 
+def test_has_edge_false_off_the_vertex_set():
+    g = make_path(3)
+    assert not g.has_edge(-1, 1)  # -1 is no alias of vertex 2
+    assert not g.has_edge(0, -1)
+    assert not g.has_edge(7, 0)
+
+
 def test_distances_from():
     g = make_path(5)
     assert g.distances_from(0) == (0, 1, 2, 3, 4)
@@ -95,10 +100,12 @@ def test_distances_from_disconnected():
     assert not g.is_connected()
 
 
-def test_equality_ignores_label():
-    assert Graph(3, [(0, 1), (1, 2)], label="a") == make_path(3)
+def test_equality_reads_edges():
+    assert Graph(3, [(2, 1), (1, 0), (0, 1)]) == make_path(3)
     assert hash(Graph(3, [(0, 1), (1, 2)])) == hash(make_path(3))
     assert make_path(3) != make_cycle(3)
+    assert make_path(2) != Graph(3, [(0, 1)])
+    assert repr(make_path(5)) == "Graph(n=5, edges=4)"
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +142,6 @@ def test_product_vertex_coords_roundtrip():
 def test_product_of_paths_is_grid():
     p = cartesian_product(make_path(3), make_path(3))
     assert p.n == 9
-    assert p.label == "product(path:3,path:3)"
     center = product_vertex(1, 1, make_path(3))
     assert p.degree(center) == 4
     corner = product_vertex(0, 0, make_path(3))
@@ -258,9 +264,7 @@ def test_read_edge_list_out_of_range():
         read_edge_list("2\n0 5\n")
 
 
-def test_load_edge_list_label(tmp_path):
+def test_load_edge_list_reads_file(tmp_path):
     path = tmp_path / "tri.edges"
     path.write_text("3\n0 1\n1 2\n2 0\n")
-    g = load_edge_list(str(path))
-    assert g == make_cycle(3)
-    assert g.label == f"file:{path}"
+    assert load_edge_list(str(path)) == make_cycle(3)

@@ -55,6 +55,8 @@ PATH_VALUES = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 4, 7: 5, 8: 6, 9: 6,
                10: 7, 11: 8, 12: 8}
 CYCLE_VALUES = {3: 2, 4: 3, 5: 4, 6: 4, 7: 5, 8: 6, 9: 6, 10: 7, 11: 8, 12: 8}
 
+STAR_70 = Graph(70, [(0, v) for v in range(1, 70)])
+
 
 # ---------------------------------------------------------------------------
 # enumeration order
@@ -106,7 +108,11 @@ def _relabelled(g, seed):
 def test_layer_masks_match_per_row_definitions():
     """The scanner's reject and accept masks agree with their per-row
     definitions on every row: reject (potential below 1 at some target)
-    and accept (every target has a pile of 2^dist)."""
+    and accept (every target has a pile of 2^dist).  The last two graphs,
+    on layers up to 2, take the other arithmetic of each filter: path:56
+    has diameter 55, so k * 2^55 >= 2^53 and the reject filter sums Python
+    integers; the star has more than 64 vertices, so the accept filter's
+    masks are Python integers."""
     graphs = [cartesian_product(make_path(2), make_path(3)),
               cartesian_product(make_path(3), make_path(3)),
               Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
@@ -115,16 +121,18 @@ def test_layer_masks_match_per_row_definitions():
         graphs += [make_path(n), _relabelled(make_path(n), n)]
         if n >= 3:
             graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
-    for g in graphs:
+    cases = [(g, 6) for g in graphs] + [(make_path(56), 2), (STAR_70, 2)]
+    for g, max_k in cases:
         dist = [g.distances_from(t) for t in range(g.n)]
-        for k in range(7):
+        for k in range(max_k + 1):
             rows = compositions_array(k, g.n)
-            tuples = [tuple(r) for r in rows.tolist()]
+            piles = [[(v, c) for v, c in enumerate(row) if c]
+                     for row in rows.tolist()]
             reaches_all = [all(sum(Fraction(c, 2 ** dist[t][v])
-                                   for v, c in enumerate(row)) >= 1
-                               for t in range(g.n)) for row in tuples]
-            covers_all = [all(any(c >= 2 ** dist[t][v] for v, c in enumerate(row))
-                              for t in range(g.n)) for row in tuples]
+                                   for v, c in pile) >= 1
+                               for t in range(g.n)) for pile in piles]
+            covers_all = [all(any(c >= 2 ** dist[t][v] for v, c in pile)
+                              for t in range(g.n)) for pile in piles]
             assert _potential_filter(g, k)(rows).tolist() == reaches_all
             assert _cover_filter(g, k)(rows).tolist() == covers_all
 
@@ -357,14 +365,12 @@ def test_optimal_number_symmetry_off_agrees_on_value():
 
 
 def test_optimal_number_orbit_filter_follows_structure():
-    # an unlabelled C5 indexed like make_cycle gets the same orbit filter
+    # a raw C5 indexed like make_cycle gets the same orbit filter
     raw_c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert optimal_pebbling_number(raw_c5) == optimal_pebbling_number(make_cycle(5))
-
-
-def test_optimal_number_ignores_misleading_label():
-    # a star labelled as a path must not be searched with path symmetry
-    star = Graph(3, [(0, 1), (0, 2)], label="path:3")
+    # a star with a path's edge count is not searched with path symmetry
+    star = Graph(3, [(0, 1), (0, 2)])
+    assert _orbit_mask(star) is None
     report = optimal_pebbling_number(star)
     assert report.value == 2
     assert is_solvable(star, report.witness)
@@ -400,6 +406,23 @@ def test_optimal_number_budget_mid_layer_path_12():
         optimal_pebbling_number(make_path(12), max_distributions=70000)
     assert (info.value.examined, info.value.lower_bound) == (115923, 8)
     assert info.value.upper_bound == 8  # ceil(2 * 12 / 3)
+
+
+def test_optimal_number_pinned_star_70():
+    # more than 64 vertices: the scanner builds the accept filter's masks
+    # as Python integers, and the fold decides the star's rows
+    report = optimal_pebbling_number(STAR_70, max_vertices=70)
+    assert (report.value, report.distributions_examined) == (2, 2555)
+    assert is_solvable(STAR_70, report.witness, max_vertices=70)
+
+
+def test_optimal_number_budget_path_56():
+    # diameter 55: from layer 1 on the reject filter sums Python integers
+    with pytest.raises(BudgetError) as info:
+        optimal_pebbling_number(make_path(56), max_vertices=56,
+                                max_distributions=2000)
+    assert (info.value.examined, info.value.lower_bound,
+            info.value.upper_bound) == (32508, 3, 38)
 
 
 def test_optimal_number_rejects_disconnected():
