@@ -368,7 +368,11 @@ def test_optimal_number_orbit_filter_follows_structure():
     # a raw C5 indexed like make_cycle gets the same orbit filter
     raw_c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert optimal_pebbling_number(raw_c5) == optimal_pebbling_number(make_cycle(5))
-    # a star with a path's edge count is not searched with path symmetry
+
+
+def test_optimal_number_ignores_misleading_label():
+    # a star with a path's vertex and edge counts, which a label once could
+    # have called "path:3", must not be searched with path symmetry
     star = Graph(3, [(0, 1), (0, 2)])
     assert _orbit_mask(star) is None
     report = optimal_pebbling_number(star)
