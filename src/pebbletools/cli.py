@@ -30,7 +30,7 @@ import json
 import sys
 import time
 
-from .engine import Distribution, is_reachable, is_solvable
+from .engine import MAX_ENGINE_VERTICES, Distribution, is_reachable, is_solvable
 from .errors import BudgetError, NotApplicableError, PebblingError, SizeLimitError
 from .graphs import (
     Graph,
@@ -42,6 +42,7 @@ from .graphs import (
     make_path,
 )
 from .invariants import (
+    MAX_GRAHAM_PRODUCT_VERTICES,
     construct_optimal_cycle_distribution,
     construct_optimal_path_distribution,
     formula_fopt_cycle,
@@ -63,11 +64,13 @@ EXIT_NOT_APPLICABLE = 4
 
 
 class _SpecParser:
-    """Recursive-descent parser for the graph spec grammar."""
+    """Recursive-descent parser for the graph spec grammar.  A `path:` or
+    `cycle:` spec over `max_vertices` is refused before it is built."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_vertices: int | None = None):
         self.text = text
         self.pos = 0
+        self.max_vertices = max_vertices
 
     def fail(self, message: str) -> ValueError:
         return ValueError(f"spec parse error at position {self.pos}: "
@@ -87,11 +90,18 @@ class _SpecParser:
             raise self.fail("expected an integer")
         return int(self.text[start:self.pos])
 
+    def order(self) -> int:
+        """The vertex count of a path: or cycle: spec, within the cap."""
+        n = self.integer()
+        if self.max_vertices is not None and n > self.max_vertices:
+            raise SizeLimitError(f"{n} vertices exceeds cap {self.max_vertices}")
+        return n
+
     def spec(self) -> Graph:
         if self.literal("path:"):
-            return make_path(self.integer())
+            return make_path(self.order())
         if self.literal("cycle:"):
-            return make_cycle(self.integer())
+            return make_cycle(self.order())
         if self.literal("product("):
             left = self.spec()
             if not self.literal(","):
@@ -137,9 +147,10 @@ class _SpecParser:
             raise self.fail("unexpected trailing input")
 
 
-def parse_graph_spec(s: str) -> Graph:
-    """Parse a graph spec string into a Graph."""
-    parser = _SpecParser(s.strip())
+def parse_graph_spec(s: str, max_vertices: int | None = None) -> Graph:
+    """Parse a graph spec string into a Graph; a path: or cycle: spec over
+    max_vertices raises SizeLimitError before it is built."""
+    parser = _SpecParser(s.strip(), max_vertices)
     g = parser.spec()
     parser.end()
     return g
@@ -158,15 +169,16 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _emit(args: argparse.Namespace, started: float, command: str,
-          inputs: dict, result: dict, human_lines: list[str], *,
-          states: int = 0, examined: int = 0) -> None:
-    """Print the report as JSON or as human_lines; every command ends here."""
+def _emit(args: argparse.Namespace, command: str, inputs: dict, result: dict,
+          human_lines: list[str], *, states: int = 0, examined: int = 0) -> None:
+    """Print the report as JSON or as human_lines; every command ends here.
+    --timing reports the time since `main` stamped args.started."""
     payload = {"command": command, "inputs": inputs, "result": result,
                "stats": {"states_explored": states,
                          "distributions_examined": examined}}
     if args.timing:
-        payload["stats"]["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
+        payload["stats"]["elapsed_ms"] = int(
+            (time.perf_counter() - args.started) * 1000)
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
         return
@@ -185,9 +197,9 @@ def _csv_out(header: list[str], rows: list[list]) -> None:
                          for cell in row])
 
 
-def _table(args: argparse.Namespace, started: float, command: str,
-           inputs: dict, header: list[str], rows: list[dict], name: str,
-           summary: str, ok: bool, human_lines: list[str]) -> int:
+def _table(args: argparse.Namespace, command: str, inputs: dict,
+           header: list[str], rows: list[dict], name: str, summary: str,
+           ok: bool, human_lines: list[str]) -> int:
     """Report a sweep's rows and return its exit code; name formats a row
     for its stderr error line, summary is the result key holding ok."""
     for row in rows:
@@ -198,7 +210,7 @@ def _table(args: argparse.Namespace, started: float, command: str,
     else:
         result = {"rows": [{k: r[k] for k in header + ["error"]} for r in rows],
                   summary: ok}
-        _emit(args, started, command, inputs, result, human_lines,
+        _emit(args, command, inputs, result, human_lines,
               examined=sum(r["examined"] for r in rows))
     if any(row["error"] is not None for row in rows):
         return EXIT_BUDGET
@@ -210,8 +222,9 @@ def _table(args: argparse.Namespace, started: float, command: str,
 
 
 def cmd_fopt(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g = parse_graph_spec(args.spec)
+    kwargs = _search_kwargs(args)
+    g = parse_graph_spec(args.spec, None if args.construct else
+                         kwargs.get("max_vertices", MAX_ENGINE_VERTICES))
     if args.construct:
         if is_canonical_path(g):
             dist = construct_optimal_path_distribution(g.n)
@@ -223,15 +236,15 @@ def cmd_fopt(args: argparse.Namespace) -> int:
             raise ValueError("--construct requires a path or cycle spec")
         lines = [f"f_opt({args.spec}) = {value} (closed form)",
                  f"witness: {dist.format()}"]
-        _emit(args, started, "fopt", {"spec": args.spec, "construct": True},
+        _emit(args, "fopt", {"spec": args.spec, "construct": True},
               {"value": value, "witness": list(dist.counts)}, lines)
         return EXIT_OK
 
-    report = optimal_pebbling_number(
-        g, max_distributions=args.budget_states, **_search_kwargs(args))
+    report = optimal_pebbling_number(g, max_distributions=args.budget_states,
+                                     **kwargs)
     lines = [f"f_opt({args.spec}) = {report.value}",
              f"witness: {report.witness.format()}"]
-    _emit(args, started, "fopt", {"spec": args.spec, "construct": False},
+    _emit(args, "fopt", {"spec": args.spec, "construct": False},
           {"value": report.value, "witness": list(report.witness.counts)},
           lines, examined=report.distributions_examined)
     return EXIT_OK
@@ -259,7 +272,6 @@ def _verify_row(args: argparse.Namespace, n: int) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     start_n = 1 if args.family == "path" else 3
     if args.max_n < start_n:
         raise ValueError(f"--max-n must be at least {start_n} for the "
@@ -272,7 +284,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(f"{r['n']:>4} {r['formula']:>8} {brute:>6} "
                      f"{str(r['match']).lower()}")
     lines.append(f"all rows match: {str(all_match).lower()}")
-    return _table(args, started, "verify",
+    return _table(args, "verify",
                   {"family": args.family, "max_n": args.max_n},
                   ["n", "formula", "brute_force", "match"], rows, "n={n}",
                   "all_match", all_match, lines)
@@ -301,10 +313,11 @@ def _graham_row(args: argparse.Namespace, specs: tuple[str, str],
 
 
 def cmd_graham(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     # Parse every pair and build its graphs before any search, so any bad
-    # spec ends the run before a search starts.
-    pairs = [_SpecParser(pair).pair() for pair in args.pairs]
+    # spec, or a factor over the vertex cap, ends the run before a search
+    # starts.
+    cap = _search_kwargs(args).get("max_vertices", MAX_GRAHAM_PRODUCT_VERTICES)
+    pairs = [_SpecParser(pair, cap).pair() for pair in args.pairs]
     rows = [_graham_row(args, specs, graphs) for specs, graphs in pairs]
     all_hold = all(row["holds"] is True for row in rows)
     lines = []
@@ -318,7 +331,7 @@ def cmd_graham(args: argparse.Namespace) -> int:
             f"{r['g']} x {r['h']}: f_opt = {r['fopt_product']} {rel} "
             f"{r['fopt_g']}*{r['fopt_h']} = {r['bound']} -> {verdict}")
     lines.append(f"all pairs hold: {str(all_hold).lower()}")
-    return _table(args, started, "graham",
+    return _table(args, "graham",
                   {"pairs": [list(specs) for specs, _ in pairs]},
                   ["g", "h", "fopt_g", "fopt_h", "fopt_product", "bound",
                    "holds", "tight"], rows, "{g} x {h}", "all_hold", all_hold,
@@ -330,50 +343,35 @@ def cmd_graham(args: argparse.Namespace) -> int:
 
 
 def cmd_solvable(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g = parse_graph_spec(args.spec)
-    dist = Distribution.parse(args.dist, n=g.n)
     kwargs = _search_kwargs(args)
+    g = parse_graph_spec(args.spec, kwargs.get("max_vertices", MAX_ENGINE_VERTICES))
+    dist = Distribution.parse(args.dist, n=g.n)
+    if args.target is not None and not 0 <= args.target < g.n:
+        raise ValueError(f"target {args.target} out of range for "
+                         f"{g.n} vertices")
+    targets = range(g.n) if args.target is None else [args.target]
+    reports = [is_reachable(g, dist, t, state_budget=args.budget_states, **kwargs)
+               for t in targets]
+    ok = all(report.verdict for report in reports)
 
     if args.target is not None:
-        if not 0 <= args.target < g.n:
-            raise ValueError(f"target {args.target} out of range for "
-                             f"{g.n} vertices")
-        report = is_reachable(g, dist, args.target,
-                              state_budget=args.budget_states, **kwargs)
-        witness = None
-        if report.witness is not None:
-            witness = [str(move) for move in report.witness]
-        if report.verdict:
-            moves = " ".join(witness) if witness else "(already occupied)"
-            lines = [f"target {args.target} reachable: {moves}"]
-        else:
-            lines = [f"target {args.target} unreachable"]
-        _emit(args, started, "solvable",
-              {"spec": args.spec, "dist": args.dist, "target": args.target},
-              {"target": args.target, "reachable": report.verdict,
-               "witness": witness},
-              lines, states=report.states_explored)
-        return EXIT_OK if report.verdict else EXIT_FAILURE
-
-    per_vertex = []
-    states = 0
-    for t in range(g.n):
-        report = is_reachable(g, dist, t, state_budget=args.budget_states,
-                              **kwargs)
-        states += report.states_explored
-        per_vertex.append({"target": t, "reachable": report.verdict})
-    solvable = all(entry["reachable"] for entry in per_vertex)
-    unreachable = [e["target"] for e in per_vertex if not e["reachable"]]
-    if solvable:
-        lines = [f"solvable: every vertex of {args.spec} is reachable"]
+        witness = reports[0].witness
+        witness = None if witness is None else [str(move) for move in witness]
+        moves = " ".join(witness or ["(already occupied)"])
+        lines = [f"target {args.target} reachable: {moves}" if ok
+                 else f"target {args.target} unreachable"]
+        result = {"target": args.target, "reachable": ok, "witness": witness}
     else:
-        lines = ["unsolvable: unreachable targets " +
-                 ",".join(str(t) for t in unreachable)]
-    _emit(args, started, "solvable",
-          {"spec": args.spec, "dist": args.dist, "target": None},
-          {"solvable": solvable, "per_vertex": per_vertex}, lines, states=states)
-    return EXIT_OK if solvable else EXIT_FAILURE
+        unreachable = ",".join(str(t) for t in targets if not reports[t].verdict)
+        lines = [f"unsolvable: unreachable targets {unreachable}" if unreachable
+                 else f"solvable: every vertex of {args.spec} is reachable"]
+        result = {"solvable": ok,
+                  "per_vertex": [{"target": t, "reachable": reports[t].verdict}
+                                 for t in targets]}
+    _emit(args, "solvable",
+          {"spec": args.spec, "dist": args.dist, "target": args.target},
+          result, lines, states=sum(r.states_explored for r in reports))
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +387,6 @@ def _family_label(g: Graph) -> str:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     g = parse_graph_spec(args.spec)
     dist = Distribution.parse(args.dist, n=g.n)
     kwargs = _search_kwargs(args)
@@ -442,7 +439,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             f"{step['before']} -> {step['graph_after']} {step['after']}"
             f"{note}; index map {mapping}")
     lines.append(f"final: {result['final_graph']} {result['final_dist']}")
-    _emit(args, started, "reduce",
+    _emit(args, "reduce",
           {"spec": args.spec, "dist": args.dist,
            "to_fixpoint": args.to_fixpoint, "check": args.check},
           result, lines)
@@ -542,6 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -28,6 +28,7 @@ brute-force filters reuse both.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -40,12 +41,23 @@ MAX_ENGINE_PEBBLES = 64
 
 @dataclass(frozen=True)
 class Distribution:
-    """Immutable pebble counts, one non-negative integer per vertex."""
+    """Immutable pebble counts, one non-negative integer per vertex.
+
+    A count must be an integer in the sense of `operator.index` (a Python
+    or numpy int); anything else, a float or a string, is a ValueError
+    rather than a truncated count.
+    """
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        cleaned = tuple(int(c) for c in self.counts)
+        cleaned = []
+        for c in self.counts:
+            try:
+                cleaned.append(operator.index(c))
+            except TypeError:
+                raise ValueError(f"pebble count {c!r} is not an integer") from None
+        cleaned = tuple(cleaned)
         if any(c < 0 for c in cleaned):
             raise ValueError(f"negative pebble count in {cleaned}")
         object.__setattr__(self, "counts", cleaned)

@@ -8,8 +8,9 @@ every output byte-for-byte.
 
 The orbit representatives of the path's reversal and of the cycle's
 rotations and reflections are tested per row (`is_path_canonical`,
-`is_cycle_canonical`) or for a whole array of rows at once
-(`path_canonical_mask`, `cycle_canonical_mask`).
+`is_cycle_canonical`); `_lex_minimal_mask` tests a whole array of rows at
+once against any list of column permutations (the brute-force search
+takes them from `invariants._orbit_images`).
 """
 
 from __future__ import annotations
@@ -100,28 +101,3 @@ def _lex_minimal_mask(rows: np.ndarray, images) -> np.ndarray:
     mask[alive] = True
     return mask
 
-
-def path_canonical_mask(rows: np.ndarray) -> np.ndarray:
-    """`is_path_canonical` of every row of a 2-d array, as a boolean mask."""
-    return _lex_minimal_mask(rows, [np.arange(rows.shape[1])[::-1]])
-
-
-def cycle_canonical_mask(rows: np.ndarray) -> np.ndarray:
-    """`is_cycle_canonical` of every row of a 2-d array, as a boolean mask.
-
-    With rho^s(r)_i = r_{i+s} and mu_j(r)_i = r_{j-i} (indices mod n), a
-    row meets only the 2n - 4 images K = rho^2..rho^{n-2}, mu_0..mu_{n-2};
-    a row at most every image in K is at most rho^1, rho^{n-1} and mu_{n-1}
-    too.  (1) r_0 = a is r's least entry: an r_i < a puts rho^i (2 <= i <=
-    n - 2) or mu_1 (i = 1) below r, and if only r_{n-1} < a, mu_0(r) =
-    (a, r_{n-1}, ...) is below r at 1.  (2) Unless r is constant (and equal
-    to all its images), let r_0..r_{p-1} = a and r_p > a.  Were r_{n-1} = a,
-    mu_{p-1}(r) would be a on 0..p, below r at p; so r_{n-1} > a.  (3) So
-    rho^{n-1}(r) and mu_{n-1}(r) start above r_0, and rho^1(r) has r_p > a
-    at p - 1: all three are above r.
-    """
-    n = rows.shape[1]
-    ring = np.arange(n)
-    images = [np.roll(ring, -s) for s in range(2, n - 1)]
-    images += [np.roll(ring[::-1], -s) for s in range(1, n)]
-    return _lex_minimal_mask(rows, images)

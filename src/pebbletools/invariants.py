@@ -13,7 +13,8 @@ verdicts:
 
 * reject: a vertex whose weighted potential sum(c_v * 2^-dist) falls below
   1 can never be reached, so the distribution is unsolvable (one matmul
-  with the engine's integer weights, exact in float64);
+  with the engine's integer weights, its depth capped so that every sum is
+  an exact float64 integer);
 * accept: if every vertex has a single pile holding 2^dist pebbles, each
   vertex is reachable on its own, so the distribution is solvable (one
   bitmask OR per vertex);
@@ -22,8 +23,9 @@ verdicts:
   (one column operation per edge of the component of G - t at each
   neighbour of t); the test suite holds it to the engine's search.
 
-On the canonically indexed path and cycle an array orbit mask keeps only
-orbit representatives.  On trees and cycles no distribution reaches the
+On the canonically indexed path and cycle `_orbit_images` gives the
+column permutations whose lexicographic test keeps only orbit
+representatives.  On trees and cycles no distribution reaches the
 engine; elsewhere only those that neither filter decides do.
 """
 
@@ -45,11 +47,10 @@ from .engine import (
 # is_path_canonical / is_cycle_canonical are unused here, but perfbench/spans.py
 # patches them as attributes of this module, so they stay imported.
 from .enumeration import (  # noqa: F401
+    _lex_minimal_mask,
     compositions_array,
-    cycle_canonical_mask,
     is_cycle_canonical,
     is_path_canonical,
-    path_canonical_mask,
 )
 from .errors import BudgetError, SizeLimitError
 from .graphs import Graph, cartesian_product, is_canonical_cycle, is_canonical_path
@@ -162,21 +163,24 @@ def _potential_filter(g: Graph, k: int):
     to the mask of rows whose potential sum(c_v * 2^-dist(v, t)) reaches 1
     at every target t.  A row outside the mask is unsolvable.
 
-    The engine's weights, rescaled to 2^(D - dist(v, t)) with D the largest
-    depth, face the one threshold 2^D, so a size-k row weighs at most
-    k * 2^D.  Below 2^53 every float64 product and sum is an exact
-    integer; at or above it (a diameter near 50) the weights are Python
-    integers, which numpy sums exactly in an object array.
+    The engine's weights, rescaled to 2^(C - dist(v, t)), face the one
+    threshold 2^C, where C = min(D, 52 - k.bit_length()) caps the largest
+    depth D.  A vertex farther than C from t weighs 1, what it would weigh
+    at distance C.  A size-k row then weighs less than 2^52, so every
+    float64 product and sum is an exact integer.  Weights only grow under
+    the cap, so the mask keeps every row the exact potential keeps, and
+    the rows it adds are decided exactly downstream; below the cap
+    (k * 2^D < 2^52, so every search at the default caps) it is the exact
+    test itself.
     """
     table = g.derived(_weight_table)
-    depth = max(d for _, d in table)
-    exact_float = k << depth < 1 << 53
-    weights = np.array([[w << (depth - d) for w in row] for row, d in table],
-                       dtype=np.float64 if exact_float else object)
-    threshold = float(1 << depth) if exact_float else 1 << depth
+    cap = min(max(d for _, d in table), 52 - k.bit_length())
+    weights = np.array([[w and max(w << cap >> d, 1) for w in row]
+                        for row, d in table], dtype=np.float64)
+    threshold = float(1 << cap)
 
     def reaches_all(chunk: np.ndarray) -> np.ndarray:
-        potentials = chunk.astype(weights.dtype) @ weights.T
+        potentials = chunk.astype(np.float64) @ weights.T
         return (potentials >= threshold).all(axis=1)
 
     return reaches_all
@@ -237,35 +241,56 @@ def _fold_verdict(g: Graph):
     return solvable_rows
 
 
-def _orbit_mask(g: Graph):
-    """Orbit-representative mask for g's rows, chosen from its edges.
+def _orbit_images(g: Graph):
+    """Column permutations whose `_lex_minimal_mask` keeps one row per
+    orbit of g's automorphisms, chosen from its edges, or None.
 
     Only the canonically indexed path and cycle have a known automorphism
     group whose orbits the search can skip; every other graph, however
-    it is labelled, is searched unfiltered.
+    it is labelled, is searched unfiltered.  The path needs its mirror.
+
+    On the cycle, with rho^s(r)_i = r_{i+s} and mu_j(r)_i = r_{j-i}
+    (indices mod n), a row meets only the 2n - 4 images K = rho^2..rho^{n-2},
+    mu_0..mu_{n-2}; a row at most every image in K is at most rho^1,
+    rho^{n-1} and mu_{n-1} too.  (1) r_0 = a is r's least entry: an r_i < a
+    puts rho^i (2 <= i <= n - 2) or mu_1 (i = 1) below r, and if only
+    r_{n-1} < a, mu_0(r) = (a, r_{n-1}, ...) is below r at 1.  (2) Unless r
+    is constant (and equal to all its images), let r_0..r_{p-1} = a and
+    r_p > a.  Were r_{n-1} = a, mu_{p-1}(r) would be a on 0..p, below r at
+    p; so r_{n-1} > a.  (3) So rho^{n-1}(r) and mu_{n-1}(r) start above
+    r_0, and rho^1(r) has r_p > a at p - 1: all three are above r.
     """
+    ring = np.arange(g.n)
     if is_canonical_path(g):
-        return path_canonical_mask
+        return [ring[::-1]]
     if is_canonical_cycle(g):
-        return cycle_canonical_mask
+        return ([np.roll(ring, -s) for s in range(2, g.n - 1)]
+                + [np.roll(ring[::-1], -s) for s in range(1, g.n)])
     return None
 
 
 class _LayerScanner:
     """Scans size-k layers of a graph's distributions in colex order.
 
-    Rows are charged against the budget a whole chunk at a time, before the
+    A graph over `max_vertices` or disconnected is refused up front.  Rows
+    are charged against the budget a whole chunk at a time, before the
     chunk is screened, so `examined` counts every row the search touched.
-    Each chunk is screened as a whole array.  On trees and cycles the
+    With `orbits`, only the orbit representatives of `_orbit_images` are
+    kept.  Each chunk is screened as a whole array.  On trees and cycles the
     fold verdict then decides every row that passed the masks; elsewhere a
     row becomes a tuple only once it has passed every mask, and then the
     accept verdict or the engine decides it.
     """
 
-    def __init__(self, g: Graph, budget: int | None, orbit_mask=None):
+    def __init__(self, g: Graph, max_vertices: int, budget: int | None,
+                 orbits: bool = False):
+        if g.n > max_vertices:
+            raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
+        if not g.is_connected():
+            raise ValueError("graph is disconnected; no distribution is solvable")
         self.g = g
         self.budget = budget
-        self.orbit_mask = orbit_mask
+        self.images = g.derived(_orbit_images) if orbits else None
         self.fold = _fold_verdict(g)
         self.examined = 0
 
@@ -275,8 +300,8 @@ class _LayerScanner:
         A solvable row must pass the reject filter and is decided by the
         accept filter; an unsolvable row must fail the accept filter and is
         decided by the reject filter.  The fold verdict, where the graph has
-        one, decides the rest; otherwise the engine does.  With an orbit
-        mask only orbit representatives count; their orbit mates are
+        one, decides the rest; otherwise the engine does.  With orbit images
+        only orbit representatives count; their orbit mates are
         covered by their representative elsewhere in the layer.
         """
         reaches_all = _potential_filter(self.g, k)
@@ -294,8 +319,8 @@ class _LayerScanner:
                 raise BudgetError(f"distribution budget {self.budget} exhausted",
                                   lower_bound=k, examined=self.examined)
             picked = chunk[visit(chunk)]
-            if self.orbit_mask is not None:
-                picked = picked[self.orbit_mask(picked)]
+            if self.images is not None:
+                picked = picked[_lex_minimal_mask(picked, self.images)]
             if self.fold is not None:
                 hits = np.flatnonzero(self.fold(picked) == solvable)
                 if hits.size:
@@ -321,11 +346,7 @@ def optimal_pebbling_number(g: Graph, *,
     Cranston, Milans and West, J. Graph Theory 2008), so the loop ends by
     that size, and a BudgetError carries it as its upper_bound.
     """
-    if g.n > max_vertices:
-        raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected; no distribution is solvable")
-    scanner = _LayerScanner(g, max_distributions, _orbit_mask(g))
+    scanner = _LayerScanner(g, max_vertices, max_distributions, orbits=True)
     try:
         for k in range(1, max_pebbles + 1):
             row = scanner.first(k, solvable=True)
@@ -349,11 +370,7 @@ def pebbling_number(g: Graph, *,
     layer contains no unsolvable distribution is the answer; the witness is
     the last unsolvable distribution seen, of size value - 1.
     """
-    if g.n > max_vertices:
-        raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected; no distribution is solvable")
-    scanner = _LayerScanner(g, max_distributions)
+    scanner = _LayerScanner(g, max_vertices, max_distributions)
     witness = Distribution((0,) * g.n)
     for size in range(1, max_value + 1):
         row = scanner.first(size, solvable=False)

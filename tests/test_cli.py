@@ -135,6 +135,21 @@ def test_fopt_cap_exit_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv,size,cap", [
+    (["fopt", "path:100000000"], 100000000, 20),
+    (["fopt", "product(cycle:100000000,path:2)"], 100000000, 20),
+    (["fopt", "path:100000000", "--max-vertices", "30"], 100000000, 30),
+    (["solvable", "path:100000000", "--dist", "1"], 100000000, 20),
+    (["graham", "path:2,path:2", "path:2,product(path:2,cycle:100000000)"],
+     100000000, 16),
+])
+def test_oversized_spec_refused_before_it_is_built(capsys, argv, size, cap):
+    # a graph of 10^8 vertices would take tens of GB to build
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"size cap exceeded: {size} vertices exceeds cap {cap}\n"
+
+
 def test_fopt_budget_exit_3(capsys):
     code, _, err = run(capsys, "fopt", "cycle:6", "--budget-states", "5")
     assert code == 3
@@ -188,6 +203,10 @@ def test_verify_empty_family_range_exit_2(capsys, family, max_n):
 @pytest.mark.parametrize("argv,golden", [
     (["verify", "cycle", "--max-n", "6", "--json"], "verify_cycle_6.json"),
     (["fopt", "cycle:5", "--json"], "fopt_cycle_5.json"),
+    (["solvable", "cycle:5", "--dist", "0,0,1,2,1", "--json"],
+     "solvable_cycle_5.json"),
+    (["solvable", "path:4", "--dist", "8,0,0,0", "--target", "3", "--json"],
+     "solvable_path_4_target_3.json"),
 ])
 def test_json_bytes_match_golden(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)

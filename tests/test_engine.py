@@ -6,7 +6,9 @@ logic in the engine is never trusted on its own word.
 """
 
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,6 +98,24 @@ def test_distribution_basics():
 def test_distribution_rejects_negative():
     with pytest.raises(ValueError):
         Distribution((1, -1))
+
+
+@pytest.mark.parametrize("counts,bad", [
+    ((1.9, 0, 0), "1.9"),
+    (("3", 0), "'3'"),
+    ((1.5, 0.7), "1.5"),
+])
+def test_distribution_rejects_counts_that_are_not_integers(counts, bad):
+    # these were truncated to (1, 0, 0), (3, 0) and (1, 0), so
+    # is_solvable(make_path(2), Distribution((1.5, 0.7))) answered False
+    with pytest.raises(ValueError, match=f"pebble count {re.escape(bad)} "):
+        Distribution(counts)
+
+
+def test_distribution_accepts_numpy_ints():
+    d = Distribution(tuple(np.array([0, 2, 1], dtype=np.int16)))
+    assert d.counts == (0, 2, 1)
+    assert all(type(c) is int for c in d.counts)
 
 
 def test_distribution_parse_and_format():

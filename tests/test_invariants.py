@@ -33,10 +33,11 @@ from pebbletools import (
 )
 from pebbletools import optimal_pebbling_number as _optimal_pebbling_number
 from pebbletools.engine import _fold, _fold_schedule
+from pebbletools.enumeration import _lex_minimal_mask
 from pebbletools.invariants import (
     _cover_filter,
     _fold_verdict,
-    _orbit_mask,
+    _orbit_images,
     _potential_filter,
 )
 
@@ -109,10 +110,10 @@ def test_layer_masks_match_per_row_definitions():
     """The scanner's reject and accept masks agree with their per-row
     definitions on every row: reject (potential below 1 at some target)
     and accept (every target has a pile of 2^dist).  The last two graphs,
-    on layers up to 2, take the other arithmetic of each filter: path:56
-    has diameter 55, so k * 2^55 >= 2^53 and the reject filter sums Python
-    integers; the star has more than 64 vertices, so the accept filter's
-    masks are Python integers."""
+    on layers up to 2, take the other branch of each filter: path:56 has
+    diameter 55, so k * 2^55 >= 2^52 and the reject filter caps its depth
+    at 52 - k.bit_length(); the star has more than 64 vertices, so the
+    accept filter's masks are Python integers."""
     graphs = [cartesian_product(make_path(2), make_path(3)),
               cartesian_product(make_path(3), make_path(3)),
               Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
@@ -137,27 +138,47 @@ def test_layer_masks_match_per_row_definitions():
             assert _cover_filter(g, k)(rows).tolist() == covers_all
 
 
+def test_reject_filter_depth_cap_only_adds_rows():
+    """Past k * 2^D >= 2^52 the reject filter caps the depth at
+    C = 52 - k.bit_length(), and a vertex farther than C weighs 1.  On
+    path:15 (D = 14) at k = 2^40, C = 11: of the single-pile rows 2^j on
+    v (j <= 16) it keeps all 94 whose exact potential reaches 1 at every
+    target, and also 2^12 on the last vertex, a potential of 1/4 at
+    vertex 0 that the uncapped test rejects."""
+    g = make_path(15)
+    rows = np.array([[(1 << j) * (u == v) for u in range(15)]
+                     for j in range(17) for v in range(15)], dtype=np.int64)
+    eccentricity = [max(g.distances_from(v)) for v in range(15)]
+    exact = [j >= eccentricity[v] for j in range(17) for v in range(15)]
+    kept = _potential_filter(g, 2 ** 40)(rows).tolist()
+    assert sum(exact) == 94
+    assert all(kept[i] for i, sure in enumerate(exact) if sure)
+    assert kept[12 * 15 + 14] and not exact[12 * 15 + 14]
+    assert sum(kept) == 106
+
+
 def test_orbit_masks_match_per_row_definitions():
-    """The orbit mask keeps exactly the rows the per-row predicate calls
-    canonical, on every row with at most 7 pebbles and n <= 11; the cycle
-    mask compares 2n - 4 images, the predicate all 2n.  A graph gets a mask
-    iff it is the canonically indexed path or cycle."""
+    """The lexicographic mask of a graph's orbit images keeps exactly the
+    rows the per-row predicate calls canonical, on every row with at most 7
+    pebbles and n <= 11; the cycle has 2n - 4 images, the predicate
+    compares all 2n.  A graph gets images iff it is the canonically
+    indexed path or cycle."""
     graphs = []
     for n in range(1, 12):
         graphs += [make_path(n), _relabelled(make_path(n), n)]
         if n >= 3:
             graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
     for g in graphs:
-        orbit_mask = _orbit_mask(g)
+        images = _orbit_images(g)
         per_row_canonical = (is_path_canonical if is_canonical_path(g)
                              else is_cycle_canonical if is_canonical_cycle(g)
                              else None)
-        assert (orbit_mask is None) == (per_row_canonical is None)
-        if orbit_mask is None:
+        assert (images is None) == (per_row_canonical is None)
+        if images is None:
             continue
         for k in range(8):
             rows = compositions_array(k, g.n)
-            assert orbit_mask(rows).tolist() \
+            assert _lex_minimal_mask(rows, images).tolist() \
                 == [per_row_canonical(row) for row in map(tuple, rows.tolist())]
 
 
@@ -374,7 +395,7 @@ def test_optimal_number_ignores_misleading_label():
     # a star with a path's vertex and edge counts, which a label once could
     # have called "path:3", must not be searched with path symmetry
     star = Graph(3, [(0, 1), (0, 2)])
-    assert _orbit_mask(star) is None
+    assert _orbit_images(star) is None
     report = optimal_pebbling_number(star)
     assert report.value == 2
     assert is_solvable(star, report.witness)
@@ -421,7 +442,7 @@ def test_optimal_number_pinned_star_70():
 
 
 def test_optimal_number_budget_path_56():
-    # diameter 55: from layer 1 on the reject filter sums Python integers
+    # diameter 55: from layer 1 on the reject filter caps its depth below 55
     with pytest.raises(BudgetError) as info:
         optimal_pebbling_number(make_path(56), max_vertices=56,
                                 max_distributions=2000)
