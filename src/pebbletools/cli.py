@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
 
-from .engine import MAX_ENGINE_VERTICES, Distribution, is_reachable, is_solvable
+from .engine import (MAX_ENGINE_PEBBLES, MAX_ENGINE_VERTICES, Distribution,
+                     is_reachable, is_solvable)
 from .errors import BudgetError, NotApplicableError, PebblingError, SizeLimitError
 from .graphs import (
     Graph,
@@ -64,8 +66,9 @@ EXIT_NOT_APPLICABLE = 4
 
 
 class _SpecParser:
-    """Recursive-descent parser for the graph spec grammar.  A `path:` or
-    `cycle:` spec over `max_vertices` is refused before it is built."""
+    """Recursive-descent parser for the graph spec grammar.  A `path:`,
+    `cycle:` or `file:` spec over `max_vertices` is refused before it is
+    built."""
 
     def __init__(self, text: str, max_vertices: int | None = None):
         self.text = text
@@ -117,7 +120,7 @@ class _SpecParser:
             path = self.text[start:self.pos].strip()
             if not path:
                 raise self.fail("expected a file path")
-            return load_edge_list(path)
+            return load_edge_list(path, self.max_vertices)
         raise self.fail("expected path:, cycle:, product(, or file:")
 
     def spaces(self) -> None:
@@ -148,8 +151,8 @@ class _SpecParser:
 
 
 def parse_graph_spec(s: str, max_vertices: int | None = None) -> Graph:
-    """Parse a graph spec string into a Graph; a path: or cycle: spec over
-    max_vertices raises SizeLimitError before it is built."""
+    """Parse a graph spec string into a Graph; a path:, cycle: or file: spec
+    over max_vertices raises SizeLimitError before it is built."""
     parser = _SpecParser(s.strip(), max_vertices)
     g = parser.spec()
     parser.end()
@@ -158,15 +161,6 @@ def parse_graph_spec(s: str, max_vertices: int | None = None) -> Graph:
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def _search_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = {}
-    if args.max_vertices is not None:
-        kwargs["max_vertices"] = args.max_vertices
-    if args.max_pebbles is not None:
-        kwargs["max_pebbles"] = args.max_pebbles
-    return kwargs
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict, result: dict,
@@ -222,9 +216,8 @@ def _table(args: argparse.Namespace, command: str, inputs: dict,
 
 
 def cmd_fopt(args: argparse.Namespace) -> int:
-    kwargs = _search_kwargs(args)
     g = parse_graph_spec(args.spec, None if args.construct else
-                         kwargs.get("max_vertices", MAX_ENGINE_VERTICES))
+                         args.caps["max_vertices"])
     if args.construct:
         if is_canonical_path(g):
             dist = construct_optimal_path_distribution(g.n)
@@ -241,7 +234,7 @@ def cmd_fopt(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     report = optimal_pebbling_number(g, max_distributions=args.budget_states,
-                                     **kwargs)
+                                     **args.caps)
     lines = [f"f_opt({args.spec}) = {report.value}",
              f"witness: {report.witness.format()}"]
     _emit(args, "fopt", {"spec": args.spec, "construct": False},
@@ -255,13 +248,11 @@ def cmd_fopt(args: argparse.Namespace) -> int:
 
 
 def _verify_row(args: argparse.Namespace, n: int) -> dict:
-    if args.family == "path":
-        g, formula = make_path(n), formula_fopt_path(n)
-    else:
-        g, formula = make_cycle(n), formula_fopt_cycle(n)
+    formula = (formula_fopt_path if args.family == "path" else formula_fopt_cycle)(n)
     try:
+        g = parse_graph_spec(f"{args.family}:{n}", args.caps["max_vertices"])
         report = optimal_pebbling_number(g, max_distributions=args.budget_states,
-                                         **_search_kwargs(args))
+                                         **args.caps)
     except (BudgetError, SizeLimitError) as exc:
         return {"n": n, "formula": formula, "brute_force": None,
                 "match": False, "examined": getattr(exc, "examined", 0),
@@ -301,7 +292,7 @@ def _graham_row(args: argparse.Namespace, specs: tuple[str, str],
             "tight": None, "examined": 0, "error": None}
     try:
         check = graham_optimal_check(*graphs, max_distributions=args.budget_states,
-                                     **_search_kwargs(args))
+                                     **args.caps)
     except (BudgetError, SizeLimitError) as exc:
         base.update(examined=getattr(exc, "examined", 0), error=str(exc))
         return base
@@ -316,8 +307,7 @@ def cmd_graham(args: argparse.Namespace) -> int:
     # Parse every pair and build its graphs before any search, so any bad
     # spec, or a factor over the vertex cap, ends the run before a search
     # starts.
-    cap = _search_kwargs(args).get("max_vertices", MAX_GRAHAM_PRODUCT_VERTICES)
-    pairs = [_SpecParser(pair, cap).pair() for pair in args.pairs]
+    pairs = [_SpecParser(p, args.caps["max_vertices"]).pair() for p in args.pairs]
     rows = [_graham_row(args, specs, graphs) for specs, graphs in pairs]
     all_hold = all(row["holds"] is True for row in rows)
     lines = []
@@ -343,15 +333,11 @@ def cmd_graham(args: argparse.Namespace) -> int:
 
 
 def cmd_solvable(args: argparse.Namespace) -> int:
-    kwargs = _search_kwargs(args)
-    g = parse_graph_spec(args.spec, kwargs.get("max_vertices", MAX_ENGINE_VERTICES))
-    dist = Distribution.parse(args.dist, n=g.n)
-    if args.target is not None and not 0 <= args.target < g.n:
-        raise ValueError(f"target {args.target} out of range for "
-                         f"{g.n} vertices")
+    g = parse_graph_spec(args.spec, args.caps["max_vertices"])
+    dist = Distribution.parse(args.dist)
     targets = range(g.n) if args.target is None else [args.target]
-    reports = [is_reachable(g, dist, t, state_budget=args.budget_states, **kwargs)
-               for t in targets]
+    reports = [is_reachable(g, dist, t, state_budget=args.budget_states,
+                            **args.caps) for t in targets]
     ok = all(report.verdict for report in reports)
 
     if args.target is not None:
@@ -388,8 +374,7 @@ def _family_label(g: Graph) -> str:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     g = parse_graph_spec(args.spec)
-    dist = Distribution.parse(args.dist, n=g.n)
-    kwargs = _search_kwargs(args)
+    dist = Distribution.parse(args.dist)
 
     steps = []
     checks_ok = True
@@ -414,7 +399,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         }
         if args.check:
             ok = is_solvable(result.graph_after, result.dist_after,
-                             state_budget=args.budget_states, **kwargs)
+                             state_budget=args.budget_states, **args.caps)
             step["solvable_after"] = ok
             checks_ok = checks_ok and ok
         steps.append(step)
@@ -464,6 +449,7 @@ def _cap(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true",
@@ -471,8 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--timing", action="store_true",
                         help="include wall-clock elapsed_ms in the output "
                              "(breaks byte-identical JSON)")
-    shared.add_argument("--max-pebbles", type=_cap, default=None, metavar="N",
-                        help="cap on distribution size (default 64)")
+    shared.add_argument("--max-pebbles", type=_cap, default=MAX_ENGINE_PEBBLES,
+                        metavar="N", help="cap on distribution size (default 64)")
     shared.add_argument("--max-vertices", type=_cap, default=None, metavar="N",
                         help="cap on vertex count for exact search "
                              "(default 20; 16 for every graham search)")
@@ -537,9 +523,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args.started = time.perf_counter()
+    # Every search and spec of the command runs under these caps; a graham
+    # search is a product search, so its vertex cap defaults to the product's.
+    cap = (MAX_GRAHAM_PRODUCT_VERTICES if args.command == "graham"
+           else MAX_ENGINE_VERTICES)
+    args.caps = {"max_pebbles": args.max_pebbles, "max_vertices":
+                 cap if args.max_vertices is None else args.max_vertices}
     try:
         return args.func(args)
     except BudgetError as exc:

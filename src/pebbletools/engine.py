@@ -79,8 +79,8 @@ class Distribution:
         return iter(self.counts)
 
     @classmethod
-    def parse(cls, text: str, n: int | None = None) -> "Distribution":
-        """Parse 'c0,c1,...' into a distribution; n, if given, fixes the length."""
+    def parse(cls, text: str) -> "Distribution":
+        """Parse 'c0,c1,...' into a distribution."""
         parts = [p.strip() for p in text.split(",")]
         try:
             counts = tuple(int(p) for p in parts)
@@ -89,9 +89,6 @@ class Distribution:
                              "list of integers") from None
         if any(c < 0 for c in counts):
             raise ValueError(f"distribution {text!r} has a negative count")
-        if n is not None and len(counts) != n:
-            raise ValueError(f"distribution has {len(counts)} entries, "
-                             f"graph has {n} vertices")
         return cls(counts)
 
     def format(self) -> str:
@@ -161,15 +158,16 @@ def replay(g: Graph, d: Distribution, moves: MoveSequence) -> Distribution:
 
 def _check_engine_inputs(g: Graph, d: Distribution, max_vertices: int,
                          max_pebbles: int, target: int = 0) -> None:
+    """The inputs' shape first (length, then target), then the caps."""
     if len(d.counts) != g.n:
         raise ValueError(f"distribution has {len(d.counts)} entries, "
                          f"graph has {g.n} vertices")
+    if not 0 <= target < g.n:
+        raise ValueError(f"target {target} out of range for {g.n} vertices")
     if g.n > max_vertices:
         raise SizeLimitError(f"{g.n} vertices exceeds engine cap {max_vertices}")
     if d.size > max_pebbles:
         raise SizeLimitError(f"{d.size} pebbles exceeds engine cap {max_pebbles}")
-    if not 0 <= target < g.n:
-        raise ValueError(f"target {target} out of range for {g.n} vertices")
 
 
 def _weight_table(g: Graph) -> tuple:

@@ -261,13 +261,14 @@ def are_isomorphic(g: Graph, h: Graph, *,
 # edge-list files
 
 
-def read_edge_list(text: str) -> Graph:
+def read_edge_list(text: str, max_vertices: int | None = None) -> Graph:
     """Parse an edge-list document.
 
     First significant line: vertex count n.  Every following significant
     line: `u v` for an edge.  Lines starting with '#' and blank lines are
     ignored.  Duplicate edges are ignored; self-loops and out-of-range
-    endpoints are errors.
+    endpoints are errors.  An n over max_vertices raises SizeLimitError
+    once every line has parsed, before the graph is built.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -296,14 +297,16 @@ def read_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if n is None:
         raise ValueError("empty edge-list document: missing vertex count")
+    if max_vertices is not None and n > max_vertices:
+        raise SizeLimitError(f"{n} vertices exceeds cap {max_vertices}")
     try:
         return Graph(n, edges)
     except ValueError as exc:
         raise ValueError(f"invalid edge list: {exc}") from None
 
 
-def load_edge_list(path: str) -> Graph:
+def load_edge_list(path: str, max_vertices: int | None = None) -> Graph:
     """Read an edge-list file from disk (see read_edge_list)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return read_edge_list(text)
+    return read_edge_list(text, max_vertices)

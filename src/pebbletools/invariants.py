@@ -305,10 +305,12 @@ class _LayerScanner:
         covered by their representative elsewhere in the layer.
         """
         reaches_all = _potential_filter(self.g, k)
-        covers_all = _cover_filter(self.g, k)
         if solvable:
-            visit, decided = reaches_all, covers_all
+            # The fold decides every visited row, so it reads no accept filter.
+            visit = reaches_all
+            decided = None if self.fold is not None else _cover_filter(self.g, k)
         else:
+            covers_all = _cover_filter(self.g, k)
             visit, decided = (lambda c: ~covers_all(c)), (lambda c: ~reaches_all(c))
 
         rows = compositions_array(k, self.g.n)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,14 @@ def test_fopt_timing_flag_adds_elapsed(capsys):
     assert "elapsed_ms" in json.loads(out)["stats"]
 
 
+def test_fopt_timing_flag_human_line(capsys):
+    code, out, _ = run(capsys, "fopt", "cycle:4", "--timing")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["f_opt(cycle:4) = 3", "witness: 0,1,0,2"]
+    assert re.fullmatch(r"elapsed_ms: \d+", lines[2]) and len(lines) == 3
+
+
 def test_fopt_construct_path(capsys):
     code, out, _ = run(capsys, "fopt", "path:30", "--construct", "--json")
     assert code == 0
@@ -114,6 +123,15 @@ def test_fopt_construct_path(capsys):
     dist = ",".join(str(c) for c in payload["result"]["witness"])
     code, _, _ = run(capsys, "solvable", "path:30", "--dist", dist,
                      "--max-vertices", "30")
+    assert code == 0
+
+
+def test_fopt_construct_cycle(capsys):
+    code, out, _ = run(capsys, "fopt", "cycle:7", "--construct", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result == {"value": 5, "witness": [0, 2, 0, 0, 2, 0, 1]}
+    code, _, _ = run(capsys, "solvable", "cycle:7", "--dist", "0,2,0,0,2,0,1")
     assert code == 0
 
 
@@ -142,10 +160,15 @@ def test_fopt_cap_exit_3(capsys):
     (["solvable", "path:100000000", "--dist", "1"], 100000000, 20),
     (["graham", "path:2,path:2", "path:2,product(path:2,cycle:100000000)"],
      100000000, 16),
+    (["fopt", "file:{big}"], 100000000, 20),
+    (["graham", "path:2,path:2", "file:{big},path:2"], 100000000, 16),
 ])
-def test_oversized_spec_refused_before_it_is_built(capsys, argv, size, cap):
+def test_oversized_spec_refused_before_it_is_built(capsys, tmp_path, argv, size,
+                                                   cap):
     # a graph of 10^8 vertices would take tens of GB to build
-    code, out, err = run(capsys, *argv)
+    big = tmp_path / "big.edges"
+    big.write_text("100000000\n0 1\n")
+    code, out, err = run(capsys, *(arg.format(big=big) for arg in argv))
     assert (code, out) == (3, "")
     assert err == f"size cap exceeded: {size} vertices exceeds cap {cap}\n"
 
@@ -179,6 +202,24 @@ def test_verify_single_trivial_row(capsys):
     code, out, _ = run(capsys, "verify", "path", "--max-n", "1", "--csv")
     assert code == 0
     assert out == "n,formula,brute_force,match\n1,1,1,true\n"
+
+
+def test_verify_builds_no_row_over_the_cap(capsys, monkeypatch):
+    _, expected, _ = run(capsys, "verify", "path", "--max-n", "30",
+                         "--max-vertices", "5", "--csv")
+    built = []
+
+    def recording_make_path(n):
+        built.append(n)
+        return make_path(n)
+
+    monkeypatch.setattr("pebbletools.cli.make_path", recording_make_path)
+    code, out, err = run(capsys, "verify", "path", "--max-n", "30",
+                         "--max-vertices", "5", "--csv")
+    assert (code, out) == (3, expected)
+    assert out.splitlines()[6] == "6,4,,false"
+    assert err.splitlines()[0] == "n=6: 6 vertices exceeds cap 5"
+    assert built == [1, 2, 3, 4, 5]
 
 
 def test_verify_budget_annotates_and_exits_3(capsys):
@@ -339,6 +380,22 @@ def test_solvable_target_out_of_range_exit_2(capsys):
     code, _, _ = run(capsys, "solvable", "path:3", "--dist", "1,0,0",
                      "--target", "9")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    # a bad length comes before a bad target, a bad target before a cap
+    (["solvable", "path:4", "--dist", "1,2", "--target", "9"],
+     "distribution has 2 entries, graph has 4 vertices"),
+    (["solvable", "path:3", "--dist", "100,0,0", "--target", "7"],
+     "target 7 out of range for 3 vertices"),
+    (["reduce", "path:4", "--dist", "1,2"],
+     "distribution has 2 entries, graph has 4 vertices"),
+    (["reduce", "product(path:2,path:2)", "--dist", "1,0"],
+     "distribution has 2 entries, graph has 4 vertices"),
+])
+def test_input_error_precedence_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_solvable_budget_exit_3(capsys):

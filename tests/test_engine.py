@@ -119,19 +119,19 @@ def test_distribution_accepts_numpy_ints():
 
 
 def test_distribution_parse_and_format():
-    d = Distribution.parse("0,2, 0", n=3)
+    d = Distribution.parse("0,2, 0")
     assert d.counts == (0, 2, 0)
     assert d.format() == "0,2,0"
-
-
-def test_distribution_parse_length_mismatch():
-    with pytest.raises(ValueError):
-        Distribution.parse("1,2", n=3)
 
 
 def test_distribution_parse_garbage():
     with pytest.raises(ValueError):
         Distribution.parse("1,x,3")
+
+
+def test_distribution_parse_negative_count():
+    with pytest.raises(ValueError, match="'1,-2' has a negative count"):
+        Distribution.parse("1,-2")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +235,12 @@ def test_reachability_state_budget():
 def test_reachability_length_mismatch():
     with pytest.raises(ValueError):
         is_reachable(make_path(3), Distribution((1, 0)), 0)
+
+
+def test_reachability_checks_target_before_caps():
+    # 100 pebbles is over the pebble cap too; the bad target is named first
+    with pytest.raises(ValueError, match="target 7 out of range for 3 vertices"):
+        is_reachable(make_path(3), Distribution((100, 0, 0)), 7)
 
 
 # Pinned searches: a different verdict, witness or states_explored means the

@@ -264,6 +264,26 @@ def test_read_edge_list_out_of_range():
         read_edge_list("2\n0 5\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("3 4\n0 1\n", "line 1: expected the vertex count alone"),
+    ("3\n0 x\n", "line 2: edge endpoints must be integers"),
+    ("# only a comment\n\n", "empty edge-list document"),
+])
+def test_read_edge_list_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(text)
+
+
+def test_read_edge_list_refuses_count_over_cap_before_building():
+    # 10^8 vertex sets would take tens of GB to build
+    with pytest.raises(SizeLimitError, match="100000000 vertices exceeds cap 20"):
+        read_edge_list("100000000\n0 1\n", max_vertices=20)
+    # a malformed line is reported before the cap
+    with pytest.raises(ValueError, match="line 2"):
+        read_edge_list("100000000\n0 x\n", max_vertices=20)
+    assert read_edge_list("3\n0 1\n1 2\n2 0\n", max_vertices=3) == make_cycle(3)
+
+
 def test_load_edge_list_reads_file(tmp_path):
     path = tmp_path / "tri.edges"
     path.write_text("3\n0 1\n1 2\n2 0\n")
