@@ -15,6 +15,11 @@ Graph specs follow the grammar
           | "file:" PATH
     PAIR := SPEC "," SPEC        (graham; whitespace allowed around each SPEC)
 
+Every spec a command builds is parsed under the command's vertex cap, so a
+`path:`, `cycle:` or `file:` spec over it is refused before it is built.
+`fopt --construct` builds no graph: it takes `path:N` or `cycle:N` and
+reads the order alone.
+
 Exit codes: 0 success/holds, 1 verification failure or unreachable,
 2 usage or parse error, 3 budget or size cap exceeded, 4 no surgery
 applies.  All results go to stdout, diagnostics to stderr.  JSON output
@@ -37,7 +42,6 @@ from .errors import BudgetError, NotApplicableError, PebblingError, SizeLimitErr
 from .graphs import (
     Graph,
     cartesian_product,
-    is_canonical_cycle,
     is_canonical_path,
     load_edge_list,
     make_cycle,
@@ -216,23 +220,25 @@ def _table(args: argparse.Namespace, command: str, inputs: dict,
 
 
 def cmd_fopt(args: argparse.Namespace) -> int:
-    g = parse_graph_spec(args.spec, None if args.construct else
-                         args.caps["max_vertices"])
     if args.construct:
-        if is_canonical_path(g):
-            dist = construct_optimal_path_distribution(g.n)
-            value = formula_fopt_path(g.n)
-        elif is_canonical_cycle(g):
-            dist = construct_optimal_cycle_distribution(g.n)
-            value = formula_fopt_cycle(g.n)
+        # The closed form needs the order alone, so no graph is built.
+        parser = _SpecParser(args.spec.strip())
+        if parser.literal("path:"):
+            forms = formula_fopt_path, construct_optimal_path_distribution
+        elif parser.literal("cycle:"):
+            forms = formula_fopt_cycle, construct_optimal_cycle_distribution
         else:
             raise ValueError("--construct requires a path or cycle spec")
+        n = parser.integer()
+        parser.end()
+        value, dist = (form(n) for form in forms)
         lines = [f"f_opt({args.spec}) = {value} (closed form)",
                  f"witness: {dist.format()}"]
         _emit(args, "fopt", {"spec": args.spec, "construct": True},
               {"value": value, "witness": list(dist.counts)}, lines)
         return EXIT_OK
 
+    g = parse_graph_spec(args.spec, args.caps["max_vertices"])
     report = optimal_pebbling_number(g, max_distributions=args.budget_states,
                                      **args.caps)
     lines = [f"f_opt({args.spec}) = {report.value}",
@@ -364,17 +370,12 @@ def cmd_solvable(args: argparse.Namespace) -> int:
 # reduce
 
 
-def _family_label(g: Graph) -> str:
-    if is_canonical_path(g):
-        return f"path:{g.n}"
-    if is_canonical_cycle(g):
-        return f"cycle:{g.n}"
-    return f"graph:{g.n}"
-
-
 def cmd_reduce(args: argparse.Namespace) -> int:
-    g = parse_graph_spec(args.spec)
+    g = parse_graph_spec(args.spec, args.caps["max_vertices"])
     dist = Distribution.parse(args.dist)
+    # Every surgery keeps a path a path and a cycle a cycle, and try_reduce
+    # refuses any other graph before a label is printed.
+    family = "path" if is_canonical_path(g) else "cycle"
 
     steps = []
     checks_ok = True
@@ -388,8 +389,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         step = {
             "rule": result.rule,
             "branch": result.branch,
-            "graph_before": _family_label(g),
-            "graph_after": _family_label(result.graph_after),
+            "graph_before": f"{family}:{g.n}",
+            "graph_after": f"{family}:{result.graph_after.n}",
             "before": list(dist.counts),
             "after": list(result.dist_after.counts),
             "index_map": {str(old): new
@@ -408,7 +409,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             break
 
     result = {"steps": steps,
-              "final_graph": _family_label(g),
+              "final_graph": f"{family}:{g.n}",
               "final_dist": list(dist.counts),
               "checks_passed": checks_ok if args.check else None}
     lines = []
@@ -458,10 +459,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="include wall-clock elapsed_ms in the output "
                              "(breaks byte-identical JSON)")
     shared.add_argument("--max-pebbles", type=_cap, default=MAX_ENGINE_PEBBLES,
-                        metavar="N", help="cap on distribution size (default 64)")
+                        metavar="N", help="cap on distribution size (default "
+                                          f"{MAX_ENGINE_PEBBLES})")
     shared.add_argument("--max-vertices", type=_cap, default=None, metavar="N",
-                        help="cap on vertex count for exact search "
-                             "(default 20; 16 for every graham search)")
+                        help="cap on vertex count for exact search (default "
+                             f"{MAX_ENGINE_VERTICES}; {MAX_GRAHAM_PRODUCT_VERTICES}"
+                             " for every graham search)")
     shared.add_argument("--budget-states", type=_cap, default=None, metavar="N",
                         help="abort after exploring/examining N states or "
                              "distributions (default unlimited); solvable "

@@ -156,12 +156,17 @@ def replay(g: Graph, d: Distribution, moves: MoveSequence) -> Distribution:
 # reachability
 
 
-def _check_engine_inputs(g: Graph, d: Distribution, max_vertices: int,
-                         max_pebbles: int, target: int = 0) -> None:
-    """The inputs' shape first (length, then target), then the caps."""
+def _check_length(g: Graph, d: Distribution) -> None:
+    """One count per vertex: the package's only length check."""
     if len(d.counts) != g.n:
         raise ValueError(f"distribution has {len(d.counts)} entries, "
                          f"graph has {g.n} vertices")
+
+
+def _check_engine_inputs(g: Graph, d: Distribution, max_vertices: int,
+                         max_pebbles: int, target: int = 0) -> None:
+    """The inputs' shape first (length, then target), then the caps."""
+    _check_length(g, d)
     if not 0 <= target < g.n:
         raise ValueError(f"target {target} out of range for {g.n} vertices")
     if g.n > max_vertices:

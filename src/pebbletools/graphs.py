@@ -234,19 +234,9 @@ def are_isomorphic(g: Graph, h: Graph, *,
             return True
         du = g.degree(u)
         for cand in range(n):
-            if used[cand] or h.degree(cand) != du:
-                continue
-            ok = True
-            for w in g.neighbors(u):
-                if w < u and not h.has_edge(image[w], cand):
-                    ok = False
-                    break
-            if ok:
-                for w in range(u):
-                    if not g.has_edge(u, w) and h.has_edge(image[w], cand):
-                        ok = False
-                        break
-            if ok:
+            if not used[cand] and h.degree(cand) == du and all(
+                    g.has_edge(u, w) == h.has_edge(image[w], cand)
+                    for w in range(u)):
                 image[u] = cand
                 used[cand] = True
                 if extend(u + 1):

@@ -11,14 +11,18 @@ smooths those vertices out, composes the index maps and counts the net.
 All operations require canonical indexing (edges {i, i+1}, and {n-1, 0}
 for cycles), validate their stated preconditions, and refuse with a typed
 error rather than guessing.  Tie-breaks are fixed: lowest vertex index
-first, increasing direction preferred, so results are deterministic.
+first, increasing direction preferred, so results are deterministic.  The
+length check is the engine's `_check_length`, the package's only one.
+Every rule keeps a path a path and a cycle a cycle, so a chain of
+`try_reduce` steps, which takes no other graph, stays in the family it
+started in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Distribution
+from .engine import Distribution, _check_length
 from .errors import (
     NotApplicableError,
     PreconditionError,
@@ -48,12 +52,6 @@ class SurgeryResult:
     pebbles_removed_net: int
     rule: str
     branch: str | None = None
-
-
-def _validate(g: Graph, d: Distribution) -> None:
-    if len(d.counts) != g.n:
-        raise ValueError(f"distribution has {len(d.counts)} entries, "
-                         f"graph has {g.n} vertices")
 
 
 def _rewrite(g: Graph, d: Distribution, gone: list[int],
@@ -87,7 +85,7 @@ def remove_singleton(g: Graph, d: Distribution, v: int) -> SurgeryResult:
     shorten rather than break: anything a neighbor could previously relay
     across v still arrives, which is why solvable inputs stay solvable.
     """
-    _validate(g, d)
+    _check_length(g, d)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for {g.n} vertices")
     if d.counts[v] != 1:
@@ -123,7 +121,7 @@ def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
     solvable input solvable (checked against the engine on every path with
     n <= 10 and at most 10 pebbles).
     """
-    _validate(g, d)
+    _check_length(g, d)
     if not is_canonical_path(g):
         raise ValueError("requires a canonically indexed path")
     counts = d.counts
@@ -173,7 +171,7 @@ def cycle_remove_202_or_220(g: Graph, d: Distribution) -> SurgeryResult:
     exactly 2.  The window guarantees the vertex after the cut is occupied
     or adjacent to the surviving pile, which keeps the result solvable.
     """
-    _validate(g, d)
+    _check_length(g, d)
     if not is_canonical_cycle(g):
         raise ValueError("requires a canonically indexed cycle")
     counts = d.counts
@@ -213,7 +211,7 @@ def cycle_reduce_big_pile(g: Graph, d: Distribution) -> SurgeryResult:
 
     Every branch removes exactly one net pebble.
     """
-    _validate(g, d)
+    _check_length(g, d)
     if not is_canonical_cycle(g):
         raise ValueError("requires a canonically indexed cycle")
     counts = d.counts
@@ -262,7 +260,7 @@ def try_reduce(g: Graph, d: Distribution) -> SurgeryResult:
 
     Raises NotApplicableError when nothing applies.
     """
-    _validate(g, d)
+    _check_length(g, d)
     if is_canonical_path(g):
         attempts = [_try_singleton, collapse_two_pebble_block_path]
     elif is_canonical_cycle(g):

@@ -135,10 +135,44 @@ def test_fopt_construct_cycle(capsys):
     assert code == 0
 
 
-def test_fopt_construct_rejects_other_graphs(capsys):
-    code, _, err = run(capsys, "fopt", "product(path:2,path:3)", "--construct")
-    assert code == 2
-    assert "construct" in err
+def test_fopt_construct_builds_no_graph(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--construct built a graph")
+
+    for name in ("parse_graph_spec", "make_path", "make_cycle",
+                 "load_edge_list", "cartesian_product"):
+        monkeypatch.setattr(f"pebbletools.cli.{name}", refuse)
+    code, out, _ = run(capsys, "fopt", "path:30", "--construct", "--json")
+    assert code == 0
+    payload = {"command": "fopt",
+               "inputs": {"construct": True, "spec": "path:30"},
+               "result": {"value": formula_fopt_path(30),
+                          "witness": [0, 2, 0] * 10},
+               "stats": {"distributions_examined": 0, "states_explored": 0}}
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_fopt_construct_rejects_other_graphs(capsys, tmp_path):
+    # a product or file: spec is refused even when its graph is a path
+    path4 = tmp_path / "path4.edges"
+    path4.write_text("4\n0 1\n1 2\n2 3\n")
+    for spec in ("product(path:2,path:3)", "product(path:1,path:5)",
+                 f"file:{path4}"):
+        code, out, err = run(capsys, "fopt", spec, "--construct")
+        assert (code, out) == (2, "")
+        assert err == "error: --construct requires a path or cycle spec\n"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("path:0", "n must be at least 1, got 0"),
+    ("cycle:2", "cycle needs at least 3 vertices, got 2"),
+    ("path:5x", "spec parse error at position 6: unexpected trailing input "
+                "(in 'path:5x')"),
+])
+def test_fopt_construct_bad_order_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "fopt", spec, "--construct")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_fopt_usage_error_exit_2(capsys):
@@ -162,6 +196,8 @@ def test_fopt_cap_exit_3(capsys):
      100000000, 16),
     (["fopt", "file:{big}"], 100000000, 20),
     (["graham", "path:2,path:2", "file:{big},path:2"], 100000000, 16),
+    (["reduce", "path:100000000", "--dist", "1"], 100000000, 20),
+    (["reduce", "file:{big}", "--dist", "1"], 100000000, 20),
 ])
 def test_oversized_spec_refused_before_it_is_built(capsys, tmp_path, argv, size,
                                                    cap):
@@ -248,6 +284,10 @@ def test_verify_empty_family_range_exit_2(capsys, family, max_n):
      "solvable_cycle_5.json"),
     (["solvable", "path:4", "--dist", "8,0,0,0", "--target", "3", "--json"],
      "solvable_path_4_target_3.json"),
+    (["reduce", "cycle:9", "--dist", "0,2,0,0,2,0,1,3,1", "--to-fixpoint",
+      "--check", "--json"], "reduce_cycle_9.json"),
+    (["reduce", "path:9", "--dist", "1,3,0,0,2,0,0,2,2", "--to-fixpoint",
+      "--check", "--json"], "reduce_path_9.json"),
 ])
 def test_json_bytes_match_golden(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)
@@ -438,6 +478,15 @@ def test_reduce_single_step(capsys):
     assert code == 0
     assert "applied remove_singleton" in out
     assert "final: path:2 [2, 0]" in out
+
+
+def test_reduce_over_default_cap_with_max_vertices(capsys):
+    dist = ",".join(["1"] + ["0"] * 29)
+    code, out, _ = run(capsys, "reduce", "path:30", "--dist", dist,
+                       "--max-vertices", "30")
+    assert code == 0
+    assert out.startswith("applied remove_singleton: path:30 ")
+    assert " -> path:29 " in out
 
 
 def test_reduce_cycle_window(capsys):

@@ -229,6 +229,22 @@ def test_try_reduce_requires_path_or_cycle():
         try_reduce(grid, Distribution((1,) * 6))
 
 
+@pytest.mark.parametrize("rule,graph,args", [
+    (try_reduce, make_path(4), ()),
+    (try_reduce, make_cycle(4), ()),
+    (remove_singleton, make_path(4), (0,)),
+    (collapse_two_pebble_block_path, make_path(4), ()),
+    (cycle_remove_202_or_220, make_cycle(4), ()),
+    (cycle_reduce_big_pile, make_cycle(4), ()),
+], ids=["try_reduce-path", "try_reduce-cycle", "remove_singleton",
+        "collapse_two_pebble_block_path", "cycle_remove_202_or_220",
+        "cycle_reduce_big_pile"])
+def test_every_rule_checks_the_length(rule, graph, args):
+    with pytest.raises(ValueError) as info:
+        rule(graph, Distribution((1, 3)), *args)
+    assert str(info.value) == "distribution has 2 entries, graph has 4 vertices"
+
+
 # ---------------------------------------------------------------------------
 # guarantees: size accounting and index maps
 
