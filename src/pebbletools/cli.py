@@ -15,10 +15,13 @@ Graph specs follow the grammar
           | "file:" PATH
     PAIR := SPEC "," SPEC        (graham; whitespace allowed around each SPEC)
 
-Every spec a command builds is parsed under the command's vertex cap, so a
-`path:`, `cycle:` or `file:` spec over it is refused before it is built.
-`fopt --construct` builds no graph: it takes `path:N` or `cycle:N` and
-reads the order alone.
+INT is ASCII digits 0-9.  A product nested deeper than the stack allows is
+a parse error, not a RecursionError.  Every spec a command builds is
+parsed under the command's vertex cap, so a `path:`, `cycle:` or `file:`
+spec over it is refused before it is built.  `fopt --construct` builds no
+graph: it takes `path:N` or `cycle:N` and reads the order alone; an order
+over sys.maxsize is a size cap error.  Each family's closed forms are
+named once, in _CLOSED_FORMS, for `--construct` and `verify` alike.
 
 Exit codes: 0 success/holds, 1 verification failure or unreachable,
 2 usage or parse error, 3 budget or size cap exceeded, 4 no surgery
@@ -91,7 +94,7 @@ class _SpecParser:
 
     def integer(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.fail("expected an integer")
@@ -110,7 +113,12 @@ class _SpecParser:
         if self.literal("cycle:"):
             return make_cycle(self.order())
         if self.literal("product("):
-            left = self.spec()
+            try:
+                left = self.spec()
+            except RecursionError:
+                # Each stack depth is first reached inside a left factor, so
+                # the stack runs out here, however the products nest.
+                raise self.fail("product( nested too deeply") from None
             if not self.literal(","):
                 raise self.fail("expected ',' between product factors")
             right = self.spec()
@@ -218,34 +226,34 @@ def _table(args: argparse.Namespace, command: str, inputs: dict,
 # ---------------------------------------------------------------------------
 # fopt
 
+# Each family's closed forms: f_opt(n) and an optimal distribution.
+_CLOSED_FORMS = {
+    "path": (formula_fopt_path, construct_optimal_path_distribution),
+    "cycle": (formula_fopt_cycle, construct_optimal_cycle_distribution),
+}
+
 
 def cmd_fopt(args: argparse.Namespace) -> int:
     if args.construct:
         # The closed form needs the order alone, so no graph is built.
         parser = _SpecParser(args.spec.strip())
-        if parser.literal("path:"):
-            forms = formula_fopt_path, construct_optimal_path_distribution
-        elif parser.literal("cycle:"):
-            forms = formula_fopt_cycle, construct_optimal_cycle_distribution
-        else:
+        family = next((f for f in _CLOSED_FORMS if parser.literal(f"{f}:")), None)
+        if family is None:
             raise ValueError("--construct requires a path or cycle spec")
         n = parser.integer()
         parser.end()
-        value, dist = (form(n) for form in forms)
-        lines = [f"f_opt({args.spec}) = {value} (closed form)",
-                 f"witness: {dist.format()}"]
-        _emit(args, "fopt", {"spec": args.spec, "construct": True},
-              {"value": value, "witness": list(dist.counts)}, lines)
-        return EXIT_OK
-
-    g = parse_graph_spec(args.spec, args.caps["max_vertices"])
-    report = optimal_pebbling_number(g, max_distributions=args.budget_states,
-                                     **args.caps)
-    lines = [f"f_opt({args.spec}) = {report.value}",
-             f"witness: {report.witness.format()}"]
-    _emit(args, "fopt", {"spec": args.spec, "construct": False},
-          {"value": report.value, "witness": list(report.witness.counts)},
-          lines, examined=report.distributions_examined)
+        value, witness = (form(n) for form in _CLOSED_FORMS[family])
+        examined, note = 0, " (closed form)"
+    else:
+        g = parse_graph_spec(args.spec, args.caps["max_vertices"])
+        report = optimal_pebbling_number(g, max_distributions=args.budget_states,
+                                         **args.caps)
+        value, witness = report.value, report.witness
+        examined, note = report.distributions_examined, ""
+    _emit(args, "fopt", {"spec": args.spec, "construct": args.construct},
+          {"value": value, "witness": list(witness.counts)},
+          [f"f_opt({args.spec}) = {value}{note}",
+           f"witness: {witness.format()}"], examined=examined)
     return EXIT_OK
 
 
@@ -254,7 +262,7 @@ def cmd_fopt(args: argparse.Namespace) -> int:
 
 
 def _verify_row(args: argparse.Namespace, n: int) -> dict:
-    formula = (formula_fopt_path if args.family == "path" else formula_fopt_cycle)(n)
+    formula = _CLOSED_FORMS[args.family][0](n)
     try:
         g = parse_graph_spec(f"{args.family}:{n}", args.caps["max_vertices"])
         report = optimal_pebbling_number(g, max_distributions=args.budget_states,
@@ -377,8 +385,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     # refuses any other graph before a label is printed.
     family = "path" if is_canonical_path(g) else "cycle"
 
-    steps = []
-    checks_ok = True
+    steps, lines = [], []
     while True:
         try:
             result = try_reduce(g, dist)
@@ -386,6 +393,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             if not steps:
                 raise
             break
+        solvable = (is_solvable(result.graph_after, result.dist_after,
+                                state_budget=args.budget_states, **args.caps)
+                    if args.check else None)
         step = {
             "rule": result.rule,
             "branch": result.branch,
@@ -396,14 +406,18 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             "index_map": {str(old): new
                           for old, new in sorted(result.index_map.items())},
             "net_removed": result.pebbles_removed_net,
-            "solvable_after": None,
+            "solvable_after": solvable,
         }
-        if args.check:
-            ok = is_solvable(result.graph_after, result.dist_after,
-                             state_budget=args.budget_states, **args.caps)
-            step["solvable_after"] = ok
-            checks_ok = checks_ok and ok
         steps.append(step)
+        branch = f" (branch {step['branch']})" if step["branch"] else ""
+        note = ("" if solvable is None
+                else " [solvable]" if solvable else " [UNSOLVABLE]")
+        mapping = " ".join(f"{old}->{new}"
+                           for old, new in step["index_map"].items())
+        lines.append(
+            f"applied {step['rule']}{branch}: {step['graph_before']} "
+            f"{step['before']} -> {step['graph_after']} {step['after']}"
+            f"{note}; index map {mapping}")
         g, dist = result.graph_after, result.dist_after
         if not args.to_fixpoint:
             break
@@ -411,27 +425,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     result = {"steps": steps,
               "final_graph": f"{family}:{g.n}",
               "final_dist": list(dist.counts),
-              "checks_passed": checks_ok if args.check else None}
-    lines = []
-    for step in steps:
-        branch = f" (branch {step['branch']})" if step["branch"] else ""
-        note = ""
-        if step["solvable_after"] is not None:
-            note = " [solvable]" if step["solvable_after"] else " [UNSOLVABLE]"
-        mapping = " ".join(f"{old}->{new}"
-                           for old, new in step["index_map"].items())
-        lines.append(
-            f"applied {step['rule']}{branch}: {step['graph_before']} "
-            f"{step['before']} -> {step['graph_after']} {step['after']}"
-            f"{note}; index map {mapping}")
+              "checks_passed": (all(step["solvable_after"] for step in steps)
+                                if args.check else None)}
     lines.append(f"final: {result['final_graph']} {result['final_dist']}")
     _emit(args, "reduce",
           {"spec": args.spec, "dist": args.dist,
            "to_fixpoint": args.to_fixpoint, "check": args.check},
           result, lines)
-    if args.check and not checks_ok:
-        return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_FAILURE if result["checks_passed"] is False else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -190,19 +190,16 @@ def remove_vertex_smoothing(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     if deg not in (1, 2):
         raise UnsupportedDegreeError(
             f"cannot smooth vertex {v} of degree {deg}; only degrees 1 and 2")
-    new_edge: tuple[int, int] | None = None
+    index_map = {old: old - (1 if old > v else 0) for old in range(g.n) if old != v}
+    edges = [(index_map[u], index_map[w])
+             for u, w in g.edges() if u != v and w != v]
     if deg == 2:
         a, b = g.neighbors(v)
         if g.has_edge(a, b):
             raise StructureError(
                 f"neighbors {a} and {b} of vertex {v} are already adjacent; "
                 "smoothing would create a parallel edge")
-        new_edge = (a, b)
-    index_map = {old: old - (1 if old > v else 0) for old in range(g.n) if old != v}
-    edges = [(index_map[u], index_map[w])
-             for u, w in g.edges() if u != v and w != v]
-    if new_edge is not None:
-        edges.append((index_map[new_edge[0]], index_map[new_edge[1]]))
+        edges.append((index_map[a], index_map[b]))
     return Graph(g.n - 1, edges), index_map
 
 

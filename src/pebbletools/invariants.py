@@ -31,6 +31,7 @@ engine; elsewhere only those that neither filter decides do.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,10 @@ def construct_optimal_path_distribution(n: int) -> Distribution:
     Two pebbles on the middle vertex of each block of three, one pebble on
     every leftover vertex.  Every vertex ends up occupied or adjacent to a
     two-pebble pile, so the distribution is solvable by a single move.
+    An n over sys.maxsize, which no list can index, raises SizeLimitError.
     """
+    if n > sys.maxsize:
+        raise SizeLimitError(f"{n} vertices exceeds cap {sys.maxsize}")
     d = decompose_3t_r(n)
     counts = [0] * n
     counts[1:3 * d.t:3] = [2] * d.t

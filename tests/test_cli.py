@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,21 @@ def test_parse_spec_file(tmp_path):
 def test_parse_spec_invalid_argument():
     with pytest.raises(ValueError):
         parse_graph_spec("path:0")
+
+
+@pytest.mark.parametrize("spec,position,message", [
+    ("path:x", 5, "expected an integer"),
+    # only ASCII digits make an integer
+    ("path:\u00b2", 5, "expected an integer"),
+    ("path:\uff11\uff12", 5, "expected an integer"),
+    ("product(path:2,path:2", 21, "expected ')' closing product"),
+    ("file:", 5, "expected a file path"),
+])
+def test_fopt_spec_parse_error_exit_2(capsys, spec, position, message):
+    code, out, err = run(capsys, "fopt", spec)
+    assert (code, out) == (2, "")
+    assert err == (f"error: spec parse error at position {position}: "
+                   f"{message} (in {spec!r})\n")
 
 
 def test_parse_spec_errors_carry_position():
@@ -175,6 +191,14 @@ def test_fopt_construct_bad_order_exit_2(capsys, spec, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_fopt_construct_order_no_list_can_index_exit_3(capsys, family):
+    code, out, err = run(capsys, "fopt", f"{family}:{10**19}", "--construct")
+    assert (code, out) == (3, "")
+    assert err == (f"size cap exceeded: {10**19} vertices exceeds cap "
+                   f"{sys.maxsize}\n")
+
+
 def test_fopt_usage_error_exit_2(capsys):
     code, _, err = run(capsys, "fopt", "path:0")
     assert code == 2
@@ -277,18 +301,15 @@ def test_verify_empty_family_range_exit_2(capsys, family, max_n):
     assert "--max-n" in err
 
 
-@pytest.mark.parametrize("argv,golden", [
-    (["verify", "cycle", "--max-n", "6", "--json"], "verify_cycle_6.json"),
-    (["fopt", "cycle:5", "--json"], "fopt_cycle_5.json"),
-    (["solvable", "cycle:5", "--dist", "0,0,1,2,1", "--json"],
-     "solvable_cycle_5.json"),
-    (["solvable", "path:4", "--dist", "8,0,0,0", "--target", "3", "--json"],
-     "solvable_path_4_target_3.json"),
-    (["reduce", "cycle:9", "--dist", "0,2,0,0,2,0,1,3,1", "--to-fixpoint",
-      "--check", "--json"], "reduce_cycle_9.json"),
-    (["reduce", "path:9", "--dist", "1,3,0,0,2,0,0,2,2", "--to-fixpoint",
-      "--check", "--json"], "reduce_path_9.json"),
-])
+def _golden_commands():
+    """(argv, golden file name) for each command in golden/commands.txt."""
+    for line in (GOLDEN / "commands.txt").read_text().splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            yield words[1:], words[0]
+
+
+@pytest.mark.parametrize("argv,golden", list(_golden_commands()))
 def test_json_bytes_match_golden(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -616,6 +637,33 @@ def test_module_entry_point_prints_golden_json():
     proc = _run_module("verify", "cycle", "--max-n", "6", "--json")
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "verify_cycle_6.json").read_text()
+
+
+def _nested_product(depth, left=True):
+    """path:1 nested in depth products, as the left or the right factor."""
+    if left:
+        return "product(" * depth + "path:1" + ",path:1)" * depth
+    return "product(path:1," * depth + "path:1" + ")" * depth
+
+
+def test_nested_product_within_the_stack_parses(capsys):
+    code, out, _ = run(capsys, "fopt", _nested_product(300), "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"value": 1, "witness": [1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fopt", _nested_product(5000)],
+    ["fopt", _nested_product(5000, left=False)],
+    ["graham", f"{_nested_product(5000)},path:2"],
+], ids=["fopt-left", "fopt-right", "graham"])
+def test_too_deeply_nested_product_exit_2(argv):
+    # the error position depends on the stack depth, so it is not pinned
+    proc = _run_module(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: spec parse error at position ")
+    assert "product( nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_exit_code():

@@ -58,6 +58,12 @@ def test_make_cycle_rejects_small():
         make_cycle(2)
 
 
+def test_graph_rejects_nonpositive_vertex_count():
+    with pytest.raises(ValueError) as info:
+        Graph(0, [])
+    assert str(info.value) == "vertex count must be a positive integer, got 0"
+
+
 def test_graph_rejects_self_loop():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
@@ -105,6 +111,7 @@ def test_equality_reads_edges():
     assert hash(Graph(3, [(0, 1), (1, 2)])) == hash(make_path(3))
     assert make_path(3) != make_cycle(3)
     assert make_path(2) != Graph(3, [(0, 1)])
+    assert (make_path(2) == "x") is False
     assert repr(make_path(5)) == "Graph(n=5, edges=4)"
 
 
@@ -137,6 +144,12 @@ def test_product_vertex_coords_roundtrip():
         for b in range(h.n):
             idx = product_vertex(a, b, h)
             assert product_coords(idx, h) == (a, b)
+
+
+def test_product_vertex_rejects_second_coordinate_out_of_range():
+    with pytest.raises(ValueError) as info:
+        product_vertex(0, 5, make_path(3))
+    assert str(info.value) == "second coordinate 5 out of range for 3 vertices"
 
 
 def test_product_of_paths_is_grid():
@@ -175,6 +188,13 @@ def test_isomorphic_small_cases():
     assert not are_isomorphic(make_path(4), make_cycle(4))
     assert not are_isomorphic(make_path(3), make_path(4))
     assert are_isomorphic(make_path(1), Graph(1, []))
+    # same n, m and degrees: only the search tells them apart, by backtracking
+    two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert not are_isomorphic(make_cycle(6), two_triangles)
+    # same n and m, told apart by the degree sequences
+    assert not are_isomorphic(make_path(4), Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    relabelled = Graph(6, [(0, 3), (3, 5), (5, 1), (1, 4), (4, 2), (2, 0)])
+    assert are_isomorphic(make_cycle(6), relabelled)
 
 
 def test_isomorphism_vertex_cap():

@@ -1,6 +1,7 @@
 """Tests for formulas, constructions, brute-force numbers, and product bounds."""
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,19 @@ def test_compositions_array_matches_iterator():
 def test_composition_counts():
     # compositions of k into n parts: C(k+n-1, n-1)
     assert len(list(iter_compositions(5, 4))) == 56
+
+
+@pytest.mark.parametrize("compositions", [
+    compositions_array, lambda t, n: list(iter_compositions(t, n)),
+], ids=["compositions_array", "iter_compositions"])
+@pytest.mark.parametrize("total,length,message", [
+    (3, 0, "length must be at least 1"),
+    (-1, 3, "total must be non-negative"),
+])
+def test_compositions_reject_bad_arguments(compositions, total, length, message):
+    with pytest.raises(ValueError) as info:
+        compositions(total, length)
+    assert str(info.value) == message
 
 
 def test_compositions_of_long_rows_do_not_recurse():
@@ -337,6 +351,19 @@ def test_construction_sizes_match_formula():
         assert construct_optimal_cycle_distribution(n).size == formula_fopt_cycle(n)
 
 
+def test_constructions_refuse_bad_orders():
+    with pytest.raises(ValueError) as info:
+        construct_optimal_cycle_distribution(2)
+    assert str(info.value) == "cycle needs at least 3 vertices, got 2"
+    # no list can index an order over sys.maxsize
+    for construct in (construct_optimal_path_distribution,
+                      construct_optimal_cycle_distribution):
+        with pytest.raises(SizeLimitError) as info:
+            construct(sys.maxsize + 1)
+        assert str(info.value) == (f"{sys.maxsize + 1} vertices exceeds cap "
+                                   f"{sys.maxsize}")
+
+
 def test_constructions_solvable_small():
     for n in range(1, 13):
         g = make_path(n)
@@ -503,6 +530,13 @@ def test_pebbling_number_trivial_graph():
     report = pebbling_number(make_path(1))
     assert report.value == 1
     assert report.witness.counts == (0,)
+
+
+def test_pebbling_number_value_cap():
+    # pi(P3) = 4
+    with pytest.raises(SizeLimitError) as info:
+        pebbling_number(make_path(3), max_value=3)
+    assert str(info.value) == "pebbling number exceeds cap 3"
 
 
 def test_pebbling_number_vertex_cap():

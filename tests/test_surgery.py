@@ -74,6 +74,12 @@ def test_singleton_requires_exactly_one():
         remove_singleton(make_path(3), Distribution((2, 0, 0)), 1)
 
 
+def test_singleton_rejects_vertex_out_of_range():
+    with pytest.raises(ValueError) as info:
+        remove_singleton(make_path(3), Distribution((1, 0, 0)), 7)
+    assert str(info.value) == "vertex 7 out of range for 3 vertices"
+
+
 def test_singleton_rejects_triangle():
     with pytest.raises(StructureError):
         remove_singleton(make_cycle(3), Distribution((1, 2, 2)), 0)
@@ -157,6 +163,14 @@ def test_cycle_window_requires_exactly_two_per_pile():
 def test_cycle_window_too_small_to_shrink():
     with pytest.raises(SizeLimitError):
         cycle_remove_202_or_220(make_cycle(4), Distribution((2, 2, 0, 2)))
+
+
+@pytest.mark.parametrize("rule", [cycle_remove_202_or_220,
+                                  cycle_reduce_big_pile])
+def test_cycle_rules_require_cycle(rule):
+    with pytest.raises(ValueError) as info:
+        rule(make_path(4), Distribution((2, 0, 2, 0)))
+    assert str(info.value) == "requires a canonically indexed cycle"
 
 
 # ---------------------------------------------------------------------------
