@@ -15,8 +15,12 @@ Graph specs follow the grammar
           | "file:" PATH
     PAIR := SPEC "," SPEC        (graham; whitespace allowed around each SPEC)
 
-INT is ASCII digits 0-9.  A product nested deeper than the stack allows is
-a parse error, not a RecursionError.  Every spec a command builds is
+INT is ASCII digits 0-9 (`engine.parse_natural`), and so is every other
+number typed on the command line: each --dist count, --target, --max-n
+and the three caps.  A run of digits too long for int() and a product
+nested deeper than the stack allows are parse errors, not a Python
+ValueError or RecursionError; a parse error quotes at most _QUOTE
+characters of the spec.  Every spec a command builds is
 parsed under the command's vertex cap, so a `path:`, `cycle:` or `file:`
 spec over it is refused before it is built.  `fopt --construct` builds no
 graph: it takes `path:N` or `cycle:N` and reads the order alone; an order
@@ -40,7 +44,7 @@ import sys
 import time
 
 from .engine import (MAX_ENGINE_PEBBLES, MAX_ENGINE_VERTICES, Distribution,
-                     is_reachable, is_solvable)
+                     is_reachable, is_solvable, parse_natural)
 from .errors import BudgetError, NotApplicableError, PebblingError, SizeLimitError
 from .graphs import (
     Graph,
@@ -72,6 +76,10 @@ EXIT_NOT_APPLICABLE = 4
 # graph spec grammar
 
 
+# The most characters of a spec that a parse error quotes.
+_QUOTE = 80
+
+
 class _SpecParser:
     """Recursive-descent parser for the graph spec grammar.  A `path:`,
     `cycle:` or `file:` spec over `max_vertices` is refused before it is
@@ -83,8 +91,14 @@ class _SpecParser:
         self.max_vertices = max_vertices
 
     def fail(self, message: str) -> ValueError:
+        """A parse error at the current position, quoting the spec whole
+        up to _QUOTE characters and otherwise the _QUOTE characters around
+        the position."""
+        lo = max(0, min(self.pos - _QUOTE // 2, len(self.text) - _QUOTE))
+        where = (f"in {self.text!r}" if len(self.text) <= _QUOTE
+                 else f"near {self.text[lo:lo + _QUOTE]!r}")
         return ValueError(f"spec parse error at position {self.pos}: "
-                          f"{message} (in {self.text!r})")
+                          f"{message} ({where})")
 
     def literal(self, token: str) -> bool:
         if self.text.startswith(token, self.pos):
@@ -92,13 +106,21 @@ class _SpecParser:
             return True
         return False
 
-    def integer(self) -> int:
+    def run(self, accept) -> str:
+        """Advance over the longest run of characters that `accept` takes,
+        and return it."""
         start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+        while self.pos < len(self.text) and accept(self.text[self.pos]):
             self.pos += 1
-        if self.pos == start:
-            raise self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+        return self.text[start:self.pos]
+
+    def integer(self) -> int:
+        digits = self.run(lambda c: "0" <= c <= "9")
+        try:
+            return parse_natural(digits)
+        except ValueError as exc:
+            self.pos -= len(digits)
+            raise self.fail(str(exc)) from None
 
     def order(self) -> int:
         """The vertex count of a path: or cycle: spec, within the cap."""
@@ -126,26 +148,19 @@ class _SpecParser:
                 raise self.fail("expected ')' closing product")
             return cartesian_product(left, right)
         if self.literal("file:"):
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] not in ",)":
-                self.pos += 1
-            path = self.text[start:self.pos].strip()
+            path = self.run(lambda c: c not in ",)").strip()
             if not path:
                 raise self.fail("expected a file path")
             return load_edge_list(path, self.max_vertices)
         raise self.fail("expected path:, cycle:, product(, or file:")
 
-    def spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def spaced_spec(self) -> tuple[str, Graph]:
         """A spec with optional whitespace on either side, and its text
         stripped of that whitespace."""
-        self.spaces()
+        self.run(str.isspace)
         start = self.pos
         g = self.spec()
-        self.spaces()
+        self.run(str.isspace)
         return self.text[start:self.pos].strip(), g
 
     def pair(self) -> tuple[tuple[str, str], tuple[Graph, Graph]]:
@@ -440,15 +455,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cap(text: str) -> int:
-    """argparse type of the cap flags: a non-negative integer."""
+    """argparse type of every integer flag: `parse_natural` digits."""
     try:
-        value = int(text)
+        return parse_natural(text)
     except ValueError:
-        value = -1
-    if value < 0:
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+            f"expected a non-negative integer, got {text!r}") from None
 
 
 @functools.cache
@@ -493,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[shared, table],
                        help="closed-form values vs brute force over a family")
     p.add_argument("family", choices=["path", "cycle"])
-    p.add_argument("--max-n", type=int, required=True, metavar="N",
+    p.add_argument("--max-n", type=_cap, required=True, metavar="N",
                    help="largest member of the family to check")
     p.set_defaults(func=cmd_verify)
 
@@ -508,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--dist", required=True,
                    help="comma-separated pebble counts, one per vertex")
-    p.add_argument("--target", type=int, default=None,
+    p.add_argument("--target", type=_cap, default=None,
                    help="single target vertex (default: all vertices)")
     p.set_defaults(func=cmd_solvable)
 

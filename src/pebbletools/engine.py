@@ -39,6 +39,20 @@ MAX_ENGINE_VERTICES = 20
 MAX_ENGINE_PEBBLES = 64
 
 
+def parse_natural(text: str) -> int:
+    """The one rule for a typed number: a run of ASCII digits 0-9.
+
+    Signs, underscores, spaces and non-ASCII digits are refused, and so is
+    a run longer than `int()` converts; each raises ValueError.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("expected an integer")
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"integer of {len(text)} digits is too long") from None
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Immutable pebble counts, one non-negative integer per vertex.
@@ -80,15 +94,13 @@ class Distribution:
 
     @classmethod
     def parse(cls, text: str) -> "Distribution":
-        """Parse 'c0,c1,...' into a distribution."""
-        parts = [p.strip() for p in text.split(",")]
+        """Parse 'c0,c1,...', each count `parse_natural` digits with
+        optional whitespace around it, into a distribution."""
         try:
-            counts = tuple(int(p) for p in parts)
+            counts = tuple(parse_natural(p.strip()) for p in text.split(","))
         except ValueError:
             raise ValueError(f"distribution {text!r} is not a comma-separated "
                              "list of integers") from None
-        if any(c < 0 for c in counts):
-            raise ValueError(f"distribution {text!r} has a negative count")
         return cls(counts)
 
     def format(self) -> str:

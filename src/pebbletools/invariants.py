@@ -8,25 +8,29 @@ every distribution.  The test suite holds the two routes against each
 other.
 
 The brute-force searches enumerate distributions in colexicographic order
-and decide them a whole chunk at a time with three vectorized exact
-verdicts:
+and screen them a whole chunk at a time, one vectorized screen per search:
 
-* reject: a vertex whose weighted potential sum(c_v * 2^-dist) falls below
-  1 can never be reached, so the distribution is unsolvable (one matmul
-  with the engine's integer weights, its depth capped so that every sum is
-  an exact float64 integer);
-* accept: if every vertex has a single pile holding 2^dist pebbles, each
-  vertex is reachable on its own, so the distribution is solvable (one
-  bitmask OR per vertex);
-* fold: on trees and cycles, where G - t is a forest for every t, the
-  engine's leaf-to-root transport fold decides every distribution exactly
-  (one column operation per edge of the component of G - t at each
-  neighbour of t); the test suite holds it to the engine's search.
+* reject (the search for a solvable row, `optimal_pebbling_number`): a
+  vertex whose weighted potential sum(c_v * 2^-dist) falls below 1 can
+  never be reached, so the distribution is unsolvable (one matmul with the
+  engine's integer weights, its depth capped so that every sum is an exact
+  float64 integer);
+* accept (the search for an unsolvable row, `pebbling_number`): if every
+  vertex has a single pile holding 2^dist pebbles, each vertex is
+  reachable on its own, so the distribution is solvable (one bitmask OR
+  per vertex).
+
+A screen only picks the rows worth visiting.  One exact verdict decides
+each visited row: on trees and cycles, where G - t is a forest for every
+t, the engine's leaf-to-root transport fold (one column operation per edge
+of the component of G - t at each neighbour of t, a whole chunk at a time;
+the test suite holds it to the engine's search); on every other graph the
+engine's `is_solvable`, one row at a time.
 
 On the canonically indexed path and cycle `_orbit_images` gives the
 column permutations whose lexicographic test keeps only orbit
 representatives.  On trees and cycles no distribution reaches the
-engine; elsewhere only those that neither filter decides do.
+engine.
 """
 
 from __future__ import annotations
@@ -274,49 +278,41 @@ def _orbit_images(g: Graph):
 
 
 class _LayerScanner:
-    """Scans size-k layers of a graph's distributions in colex order.
+    """Scans size-k layers of a graph's distributions in colex order for
+    the first row whose verdict is `solvable`.
 
     A graph over `max_vertices` or disconnected is refused up front.  Rows
     are charged against the budget a whole chunk at a time, before the
     chunk is screened, so `examined` counts every row the search touched.
-    With `orbits`, only the orbit representatives of `_orbit_images` are
-    kept.  Each chunk is screened as a whole array.  On trees and cycles the
-    fold verdict then decides every row that passed the masks; elsewhere a
-    row becomes a tuple only once it has passed every mask, and then the
-    accept verdict or the engine decides it.
+    One screen per search picks the rows worth visiting: the reject filter
+    for a solvable row, the complement of the accept filter for an
+    unsolvable one.  The search for a solvable row keeps only the orbit
+    representatives of `_orbit_images`.  One exact verdict then decides
+    each visited row: the fold on trees and cycles, a whole chunk at a
+    time; elsewhere the engine, one row at a time.
     """
 
     def __init__(self, g: Graph, max_vertices: int, budget: int | None,
-                 orbits: bool = False):
+                 solvable: bool):
         if g.n > max_vertices:
             raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
         if not g.is_connected():
             raise ValueError("graph is disconnected; no distribution is solvable")
         self.g = g
         self.budget = budget
-        self.images = g.derived(_orbit_images) if orbits else None
+        self.solvable = solvable
+        self.images = g.derived(_orbit_images) if solvable else None
         self.fold = _fold_verdict(g)
         self.examined = 0
 
-    def first(self, k: int, solvable: bool) -> tuple | None:
+    def first(self, k: int) -> tuple | None:
         """First row of size k whose verdict is `solvable`, or None.
 
-        A solvable row must pass the reject filter and is decided by the
-        accept filter; an unsolvable row must fail the accept filter and is
-        decided by the reject filter.  The fold verdict, where the graph has
-        one, decides the rest; otherwise the engine does.  With orbit images
-        only orbit representatives count; their orbit mates are
-        covered by their representative elsewhere in the layer.
+        With orbit images only orbit representatives count; their orbit
+        mates are covered by their representative elsewhere in the layer.
         """
-        reaches_all = _potential_filter(self.g, k)
-        if solvable:
-            # The fold decides every visited row, so it reads no accept filter.
-            visit = reaches_all
-            decided = None if self.fold is not None else _cover_filter(self.g, k)
-        else:
-            covers_all = _cover_filter(self.g, k)
-            visit, decided = (lambda c: ~covers_all(c)), (lambda c: ~reaches_all(c))
-
+        # A solvable row reaches every target; an unsolvable one is not covered.
+        screen = (_potential_filter if self.solvable else _cover_filter)(self.g, k)
         rows = compositions_array(k, self.g.n)
         for start in range(0, rows.shape[0], _CHUNK):
             chunk = rows[start:start + _CHUNK]
@@ -324,19 +320,18 @@ class _LayerScanner:
             if self.budget is not None and self.examined > self.budget:
                 raise BudgetError(f"distribution budget {self.budget} exhausted",
                                   lower_bound=k, examined=self.examined)
-            picked = chunk[visit(chunk)]
+            picked = chunk[screen(chunk) == self.solvable]
             if self.images is not None:
                 picked = picked[_lex_minimal_mask(picked, self.images)]
             if self.fold is not None:
-                hits = np.flatnonzero(self.fold(picked) == solvable)
+                hits = np.flatnonzero(self.fold(picked) == self.solvable)
                 if hits.size:
                     return tuple(picked[hits[0]].tolist())
                 continue
-            for i, sure in enumerate(decided(picked).tolist()):
-                row = tuple(picked[i].tolist())
-                if sure or is_solvable(self.g, Distribution(row),
-                                       max_vertices=self.g.n,
-                                       max_pebbles=k) == solvable:
+            for array in picked:
+                row = tuple(array.tolist())
+                if is_solvable(self.g, Distribution(row), max_vertices=self.g.n,
+                               max_pebbles=k) == self.solvable:
                     return row
         return None
 
@@ -352,10 +347,10 @@ def optimal_pebbling_number(g: Graph, *,
     Cranston, Milans and West, J. Graph Theory 2008), so the loop ends by
     that size, and a BudgetError carries it as its upper_bound.
     """
-    scanner = _LayerScanner(g, max_vertices, max_distributions, orbits=True)
+    scanner = _LayerScanner(g, max_vertices, max_distributions, True)
     try:
         for k in range(1, max_pebbles + 1):
-            row = scanner.first(k, solvable=True)
+            row = scanner.first(k)
             if row is not None:
                 return NumberReport("optimal_pebbling", k, Distribution(row),
                                     scanner.examined)
@@ -376,10 +371,10 @@ def pebbling_number(g: Graph, *,
     layer contains no unsolvable distribution is the answer; the witness is
     the last unsolvable distribution seen, of size value - 1.
     """
-    scanner = _LayerScanner(g, max_vertices, max_distributions)
+    scanner = _LayerScanner(g, max_vertices, max_distributions, False)
     witness = Distribution((0,) * g.n)
     for size in range(1, max_value + 1):
-        row = scanner.first(size, solvable=False)
+        row = scanner.first(size)
         if row is None:
             return NumberReport("pebbling", size, witness, scanner.examined)
         witness = Distribution(row)

@@ -78,6 +78,22 @@ def test_fopt_spec_parse_error_exit_2(capsys, spec, position, message):
                    f"{message} (in {spec!r})\n")
 
 
+def test_spec_order_too_long_for_int_exit_2(capsys):
+    spec = "path:" + "1" * 5000
+    code, out, err = run(capsys, "fopt", spec)
+    assert (code, out) == (2, "")
+    assert err == ("error: spec parse error at position 5: integer of 5000 "
+                   f"digits is too long (near {spec[:80]!r})\n")
+
+
+def test_long_spec_error_quotes_a_window_around_the_position(capsys):
+    spec = "product(" * 6 + "path:1" + ",path:1)" * 6 + "x" * 100
+    code, out, err = run(capsys, "fopt", spec)
+    assert (code, out) == (2, "")
+    assert err == ("error: spec parse error at position 102: unexpected "
+                   f"trailing input (near {spec[62:142]!r})\n")
+
+
 def test_parse_spec_errors_carry_position():
     with pytest.raises(ValueError, match="position 14"):
         parse_graph_spec("product(path:3")
@@ -615,6 +631,38 @@ def test_negative_cap_is_usage_error_exit_2(capsys, argv):
     assert "expected a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solvable", "path:2", "--dist", "1_0,0"],
+    ["solvable", "path:2", "--dist", "\uff11,1"],
+    ["reduce", "path:2", "--dist", "+1,0"],
+], ids=["underscore", "fullwidth", "plus"])
+def test_dist_takes_ascii_digits_only_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: distribution {argv[-1]!r} is not a "
+                   "comma-separated list of integers\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fopt", "path:3", "--max-vertices", "\uff12\uff10"],
+    ["fopt", "path:3", "--max-pebbles", "6_4"],
+    ["verify", "path", "--max-n", "1_2"],
+    ["solvable", "path:3", "--dist", "0,0,4", "--target", "\u0662"],
+], ids=["max_vertices_fullwidth", "max_pebbles_underscore", "max_n_underscore",
+        "target_arabic_indic"])
+def test_integer_flags_take_ascii_digits_only_exit_2(capsys, argv):
+    """Every integer flag follows the spec INT; argparse refuses the rest
+    with its usage text and one error line."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: pebbletools {argv[0]} ")
+    assert err.splitlines()[-1] == (
+        f"pebbletools {argv[0]}: error: argument {argv[-2]}: expected a "
+        f"non-negative integer, got {argv[-1]!r}")
+
+
 def test_zero_cap_is_accepted(capsys):
     code, _, err = run(capsys, "solvable", "path:3", "--dist", "0,0,4",
                        "--budget-states", "0")
@@ -664,6 +712,14 @@ def test_too_deeply_nested_product_exit_2(argv):
     assert proc.stderr.startswith("error: spec parse error at position ")
     assert "product( nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_product_error_is_one_short_line():
+    # test_spec_order_too_long_for_int_exit_2 pins a 5,000-digit order exactly
+    proc = _run_module("fopt", _nested_product(5000))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: spec parse error at position ")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 300
 
 
 def test_module_entry_point_exit_code():

@@ -130,7 +130,8 @@ def test_distribution_parse_garbage():
 
 
 def test_distribution_parse_negative_count():
-    with pytest.raises(ValueError, match="'1,-2' has a negative count"):
+    with pytest.raises(ValueError, match="'1,-2' is not a comma-separated "
+                                         "list of integers"):
         Distribution.parse("1,-2")
 
 

@@ -452,6 +452,20 @@ def test_optimal_number_pinned_cycle_15():
         == (10, "0,0,2,0,0,2,0,0,2,0,0,2,0,0,2", 3076975)
 
 
+@pytest.mark.parametrize("g,value,witness,examined", [
+    (cartesian_product(make_path(4), make_path(4)), 7,
+     "1,0,0,0,0,0,0,2,0,4,0,0,0,0,0,0", 140148),
+    (cartesian_product(make_cycle(4), make_cycle(4)), 6,
+     "0,0,4,0,2,0,0,0,0,0,0,0,0,0,0,0", 74612),
+    (cartesian_product(make_cycle(3), make_path(3)), 4, "0,4,0,0,0,0,0,0,0", 714),
+], ids=["P4xP4", "C4xC4", "C3xP3"])
+def test_optimal_number_pinned_engine_graphs(g, value, witness, examined):
+    # neither trees nor cycles: the engine decides every visited row
+    report = optimal_pebbling_number(g)
+    assert (report.value, report.witness.format(), report.distributions_examined) \
+        == (value, witness, examined)
+
+
 def test_optimal_number_budget_mid_layer_path_12():
     # the budget runs out inside layer 8, charged a whole chunk at a time
     with pytest.raises(BudgetError) as info:
@@ -524,6 +538,38 @@ def test_pebbling_number_pinned_path_6():
     report = pebbling_number(make_path(6))
     assert (report.value, report.witness.format(), report.distributions_examined) \
         == (32, "31,0,0,0,0,0", 1387022)
+
+
+def test_pebbling_number_pinned_grid_2x3():
+    # not a tree or a cycle: the engine decides every visited row
+    report = pebbling_number(cartesian_product(make_path(2), make_path(3)))
+    assert (report.value, report.witness.format(), report.distributions_examined) \
+        == (8, "7,0,0,0,0,0", 3002)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    cartesian_product(make_path(2), make_path(3)),
+    _relabelled(cartesian_product(make_path(2), make_path(3)), 7),
+], ids=["k4", "triangle_with_pendant", "grid_2x3", "grid_2x3_relabelled"])
+def test_searches_match_row_by_row_reference(g):
+    """Both searches on graphs without a fold or orbit images equal a scan
+    that asks `is_solvable` of every row in colex order: the f_opt witness
+    is the first solvable row of the first layer that has one, the pi
+    witness the first unsolvable row of layer pi - 1, and layer pi has no
+    unsolvable row."""
+    def rows(k):
+        return [Distribution(row) for row in iter_compositions(k, g.n)]
+
+    fopt = optimal_pebbling_number(g)
+    for k in range(1, fopt.value):
+        assert not any(is_solvable(g, d) for d in rows(k))
+    assert fopt.witness == next(d for d in rows(fopt.value) if is_solvable(g, d))
+
+    pi = pebbling_number(g)
+    assert pi.witness == next(d for d in rows(pi.value - 1) if not is_solvable(g, d))
+    assert all(is_solvable(g, d) for d in rows(pi.value))
 
 
 def test_pebbling_number_trivial_graph():
