@@ -41,18 +41,14 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .graphs import (
-    MAX_ISOMORPHISM_VERTICES,
     MAX_PRODUCT_VERTICES,
     Graph,
-    are_isomorphic,
     cartesian_product,
     is_canonical_cycle,
     is_canonical_path,
     load_edge_list,
     make_cycle,
     make_path,
-    product_coords,
-    product_vertex,
     read_edge_list,
     remove_vertex_smoothing,
 )
@@ -62,10 +58,8 @@ from .invariants import (
     MAX_PEBBLING_VERTICES,
     GrahamCheck,
     NumberReport,
-    TRDecomposition,
     construct_optimal_cycle_distribution,
     construct_optimal_path_distribution,
-    decompose_3t_r,
     formula_fopt_cycle,
     formula_fopt_path,
     graham_optimal_check,
@@ -75,7 +69,6 @@ from .invariants import (
 )
 from .surgery import (
     SurgeryResult,
-    collapse_preserves_transport,
     collapse_two_pebble_block_path,
     cycle_reduce_big_pile,
     cycle_remove_202_or_220,
@@ -94,7 +87,6 @@ __all__ = [
     "MAX_ENGINE_PEBBLES",
     "MAX_ENGINE_VERTICES",
     "MAX_GRAHAM_PRODUCT_VERTICES",
-    "MAX_ISOMORPHISM_VERTICES",
     "MAX_PEBBLING_VALUE",
     "MAX_PEBBLING_VERTICES",
     "MAX_PRODUCT_VERTICES",
@@ -109,19 +101,15 @@ __all__ = [
     "SolveReport",
     "StructureError",
     "SurgeryResult",
-    "TRDecomposition",
     "UnsupportedDegreeError",
     "apply_move",
-    "are_isomorphic",
     "cartesian_product",
-    "collapse_preserves_transport",
     "collapse_two_pebble_block_path",
     "compositions_array",
     "construct_optimal_cycle_distribution",
     "construct_optimal_path_distribution",
     "cycle_reduce_big_pile",
     "cycle_remove_202_or_220",
-    "decompose_3t_r",
     "formula_fopt_cycle",
     "formula_fopt_path",
     "graham_optimal_check",
@@ -139,9 +127,7 @@ __all__ = [
     "max_pebbles_to_path_greedy",
     "optimal_pebbling_number",
     "pebbling_number",
-    "product_coords",
     "product_distribution",
-    "product_vertex",
     "read_edge_list",
     "remove_singleton",
     "remove_vertex_smoothing",

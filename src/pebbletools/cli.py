@@ -19,13 +19,14 @@ INT is ASCII digits 0-9 (`engine.parse_natural`), and so is every other
 number typed on the command line: each --dist count, --target, --max-n
 and the three caps.  A run of digits too long for int() and a product
 nested deeper than the stack allows are parse errors, not a Python
-ValueError or RecursionError; a parse error quotes at most _QUOTE
-characters of the spec.  Every spec a command builds is
-parsed under the command's vertex cap, so a `path:`, `cycle:` or `file:`
-spec over it is refused before it is built.  `fopt --construct` builds no
-graph: it takes `path:N` or `cycle:N` and reads the order alone; an order
-over sys.maxsize is a size cap error.  Each family's closed forms are
-named once, in _CLOSED_FORMS, for `--construct` and `verify` alike.
+ValueError or RecursionError; an error quotes at most `engine._QUOTE`
+characters of a spec, a --dist or a number.  Every spec a command builds
+is parsed under the command's vertex cap, so a `path:`, `cycle:` or
+`file:` spec over it is refused before it is built.  `fopt --construct`
+builds no graph: it takes `path:N` or `cycle:N` and reads the order
+alone; an order over sys.maxsize is a size cap error.  Each family's
+closed forms are named once, in _CLOSED_FORMS, for `--construct` and
+`verify` alike.
 
 Exit codes: 0 success/holds, 1 verification failure or unreachable,
 2 usage or parse error, 3 budget or size cap exceeded, 4 no surgery
@@ -44,7 +45,7 @@ import sys
 import time
 
 from .engine import (MAX_ENGINE_PEBBLES, MAX_ENGINE_VERTICES, Distribution,
-                     is_reachable, is_solvable, parse_natural)
+                     _quote, is_reachable, is_solvable, parse_natural)
 from .errors import BudgetError, NotApplicableError, PebblingError, SizeLimitError
 from .graphs import (
     Graph,
@@ -76,10 +77,6 @@ EXIT_NOT_APPLICABLE = 4
 # graph spec grammar
 
 
-# The most characters of a spec that a parse error quotes.
-_QUOTE = 80
-
-
 class _SpecParser:
     """Recursive-descent parser for the graph spec grammar.  A `path:`,
     `cycle:` or `file:` spec over `max_vertices` is refused before it is
@@ -91,14 +88,10 @@ class _SpecParser:
         self.max_vertices = max_vertices
 
     def fail(self, message: str) -> ValueError:
-        """A parse error at the current position, quoting the spec whole
-        up to _QUOTE characters and otherwise the _QUOTE characters around
-        the position."""
-        lo = max(0, min(self.pos - _QUOTE // 2, len(self.text) - _QUOTE))
-        where = (f"in {self.text!r}" if len(self.text) <= _QUOTE
-                 else f"near {self.text[lo:lo + _QUOTE]!r}")
-        return ValueError(f"spec parse error at position {self.pos}: "
-                          f"{message} ({where})")
+        """A parse error at the current position, quoting the spec around
+        it (`engine._quote`)."""
+        return ValueError(f"spec parse error at position {self.pos}: {message} "
+                          f"({_quote(self.text, self.pos, 'in ')})")
 
     def literal(self, token: str) -> bool:
         if self.text.startswith(token, self.pos):
@@ -460,7 +453,7 @@ def _cap(text: str) -> int:
         return parse_natural(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}") from None
+            f"expected a non-negative integer, got {_quote(text)}") from None
 
 
 @functools.cache

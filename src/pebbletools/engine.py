@@ -38,6 +38,9 @@ from .graphs import Graph, is_canonical_path
 MAX_ENGINE_VERTICES = 20
 MAX_ENGINE_PEBBLES = 64
 
+# The most characters of typed text that an error message quotes.
+_QUOTE = 80
+
 
 def parse_natural(text: str) -> int:
     """The one rule for a typed number: a run of ASCII digits 0-9.
@@ -51,6 +54,16 @@ def parse_natural(text: str) -> int:
         return int(text)
     except ValueError:  # past sys.get_int_max_str_digits()
         raise ValueError(f"integer of {len(text)} digits is too long") from None
+
+
+def _quote(text: str, pos: int = 0, whole: str = "") -> str:
+    """Typed text as an error message quotes it: `whole` and the text up
+    to _QUOTE characters, otherwise "near" and the _QUOTE characters
+    around position `pos`."""
+    if len(text) <= _QUOTE:
+        return f"{whole}{text!r}"
+    lo = max(0, min(pos - _QUOTE // 2, len(text) - _QUOTE))
+    return f"near {text[lo:lo + _QUOTE]!r}"
 
 
 @dataclass(frozen=True)
@@ -80,9 +93,6 @@ class Distribution:
     def size(self) -> int:
         return sum(self.counts)
 
-    def occupied(self, v: int) -> bool:
-        return self.counts[v] >= 1
-
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -95,13 +105,17 @@ class Distribution:
     @classmethod
     def parse(cls, text: str) -> "Distribution":
         """Parse 'c0,c1,...', each count `parse_natural` digits with
-        optional whitespace around it, into a distribution."""
-        try:
-            counts = tuple(parse_natural(p.strip()) for p in text.split(","))
-        except ValueError:
-            raise ValueError(f"distribution {text!r} is not a comma-separated "
-                             "list of integers") from None
-        return cls(counts)
+        optional whitespace around it, into a distribution; an error
+        quotes the text around the first bad count."""
+        counts, pos = [], 0
+        for part in text.split(","):
+            try:
+                counts.append(parse_natural(part.strip()))
+            except ValueError:
+                raise ValueError(f"distribution {_quote(text, pos)} is not a "
+                                 "comma-separated list of integers") from None
+            pos += len(part) + 1
+        return cls(tuple(counts))
 
     def format(self) -> str:
         return ",".join(str(c) for c in self.counts)

@@ -13,7 +13,6 @@ from typing import Callable, Iterable, Iterator
 from .errors import SizeLimitError, StructureError, UnsupportedDegreeError
 
 MAX_PRODUCT_VERTICES = 64
-MAX_ISOMORPHISM_VERTICES = 10
 
 
 class Graph:
@@ -138,18 +137,6 @@ def is_canonical_cycle(g: Graph) -> bool:
 # cartesian product
 
 
-def product_vertex(a: int, b: int, h: Graph) -> int:
-    """Index of the product vertex (a, b), where b runs over h."""
-    if not 0 <= b < h.n:
-        raise ValueError(f"second coordinate {b} out of range for {h.n} vertices")
-    return a * h.n + b
-
-
-def product_coords(i: int, h: Graph) -> tuple[int, int]:
-    """Inverse of product_vertex: recover (a, b) from a product index."""
-    return divmod(i, h.n)
-
-
 def cartesian_product(g: Graph, h: Graph, *,
                       max_vertices: int = MAX_PRODUCT_VERTICES) -> Graph:
     """Cartesian product: (a,b)~(a',b') iff one coordinate steps along an
@@ -201,47 +188,6 @@ def remove_vertex_smoothing(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
                 "smoothing would create a parallel edge")
         edges.append((index_map[a], index_map[b]))
     return Graph(g.n - 1, edges), index_map
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def are_isomorphic(g: Graph, h: Graph, *,
-                   max_vertices: int = MAX_ISOMORPHISM_VERTICES) -> bool:
-    """Exact isomorphism test by backtracking over vertex bijections.
-
-    Exponential in the worst case, hence the small default vertex cap.
-    """
-    if max(g.n, h.n) > max_vertices:
-        raise SizeLimitError(
-            f"isomorphism test capped at {max_vertices} vertices")
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degree(v) for v in range(g.n)) != \
-            sorted(h.degree(v) for v in range(h.n)):
-        return False
-
-    n = g.n
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(u: int) -> bool:
-        if u == n:
-            return True
-        du = g.degree(u)
-        for cand in range(n):
-            if not used[cand] and h.degree(cand) == du and all(
-                    g.has_edge(u, w) == h.has_edge(image[w], cand)
-                    for w in range(u)):
-                image[u] = cand
-                used[cand] = True
-                if extend(u + 1):
-                    return True
-                used[cand] = False
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

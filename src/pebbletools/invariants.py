@@ -68,14 +68,6 @@ _CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class TRDecomposition:
-    """n = 3t + r with r in {0, 1, 2}."""
-
-    t: int
-    r: int
-
-
-@dataclass(frozen=True)
 class NumberReport:
     """Result of a brute-force invariant computation.
 
@@ -94,18 +86,33 @@ class NumberReport:
 class GrahamCheck:
     """Comparison of f_opt(G x H) against f_opt(G) * f_opt(H)."""
 
-    fopt_g: int
-    fopt_h: int
-    fopt_product: int
-    holds: bool
-    tight: bool
     report_g: NumberReport
     report_h: NumberReport
     report_product: NumberReport
 
     @property
+    def fopt_g(self) -> int:
+        return self.report_g.value
+
+    @property
+    def fopt_h(self) -> int:
+        return self.report_h.value
+
+    @property
+    def fopt_product(self) -> int:
+        return self.report_product.value
+
+    @property
     def bound(self) -> int:
         return self.fopt_g * self.fopt_h
+
+    @property
+    def holds(self) -> bool:
+        return self.fopt_product <= self.bound
+
+    @property
+    def tight(self) -> bool:
+        return self.fopt_product == self.bound
 
     @property
     def distributions_examined(self) -> int:
@@ -118,17 +125,15 @@ class GrahamCheck:
 # closed forms
 
 
-def decompose_3t_r(n: int) -> TRDecomposition:
-    """Split n >= 1 as 3t + r with r in {0, 1, 2}."""
+def _check_order(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return TRDecomposition(n // 3, n % 3)
 
 
 def formula_fopt_path(n: int) -> int:
-    """Optimal pebbling number of the n-vertex path: 2t + r."""
-    d = decompose_3t_r(n)
-    return 2 * d.t + d.r
+    """Optimal pebbling number of the n-vertex path: 2t + r for n = 3t + r."""
+    _check_order(n)
+    return 2 * (n // 3) + n % 3
 
 
 def formula_fopt_cycle(n: int) -> int:
@@ -148,10 +153,11 @@ def construct_optimal_path_distribution(n: int) -> Distribution:
     """
     if n > sys.maxsize:
         raise SizeLimitError(f"{n} vertices exceeds cap {sys.maxsize}")
-    d = decompose_3t_r(n)
+    _check_order(n)
+    t, r = divmod(n, 3)
     counts = [0] * n
-    counts[1:3 * d.t:3] = [2] * d.t
-    counts[3 * d.t:] = [1] * d.r
+    counts[1:3 * t:3] = [2] * t
+    counts[3 * t:] = [1] * r
     return Distribution(tuple(counts))
 
 
@@ -415,15 +421,4 @@ def graham_optimal_check(g: Graph, h: Graph, *,
             exc.args = (f"{name}: {exc}",)
             exc.examined += sum(r.distributions_examined for r in reports)
             raise
-    report_g, report_h, report_p = reports
-    bound = report_g.value * report_h.value
-    return GrahamCheck(
-        fopt_g=report_g.value,
-        fopt_h=report_h.value,
-        fopt_product=report_p.value,
-        holds=report_p.value <= bound,
-        tight=report_p.value == bound,
-        report_g=report_g,
-        report_h=report_h,
-        report_product=report_p,
-    )
+    return GrahamCheck(*reports)

@@ -282,36 +282,3 @@ def _try_singleton(g: Graph, d: Distribution) -> SurgeryResult:
         raise NotApplicableError("no vertex carries exactly 1 pebble")
     return remove_singleton(g, d, v)
 
-
-# ---------------------------------------------------------------------------
-# pattern scans and arithmetic backing
-
-
-def cycle_gaps(counts) -> list[int]:
-    """Lengths of the unoccupied runs between consecutive occupied vertices,
-    walking the cycle in index order.
-
-    A single occupied vertex yields one gap of n - 1; no occupied vertex
-    yields an empty list.
-    """
-    occupied = [v for v, c in enumerate(counts) if c > 0]
-    n = len(counts)
-    m = len(occupied)
-    return [(occupied[(j + 1) % m] - occupied[j] - 1) % n for j in range(m)]
-
-
-def collapse_preserves_transport(a: int, b: int) -> bool:
-    """The floor inequality behind the block collapse.
-
-    With a pebbles on the pile (a >= 2) and b pebbles collectable on its
-    predecessor, transport two past the pile after the collapse is at least
-    transport two past it before:
-    (floor((b+1)/2) + a - 2) // 2  >=  ((b // 2 + a) // 2) // 2.
-    """
-    if a < 2:
-        raise ValueError("requires a >= 2")
-    if b < 0:
-        raise ValueError("requires b >= 0")
-    post = ((b + 1) // 2 + a - 2) // 2
-    pre = ((b // 2 + a) // 2) // 2
-    return post >= pre

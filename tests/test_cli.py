@@ -715,11 +715,27 @@ def test_too_deeply_nested_product_exit_2(argv):
 
 
 def test_deeply_nested_product_error_is_one_short_line():
-    # test_spec_order_too_long_for_int_exit_2 pins a 5,000-digit order exactly
-    proc = _run_module("fopt", _nested_product(5000))
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: spec parse error at position ")
-    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 300
+    # test_spec_order_too_long_for_int_exit_2 pins a 5,000-digit order
+    # exactly; a long --dist and a long integer flag are quoted the same way
+    dist = "1," * 20000 + "x"
+    for argv, error in [
+        (["fopt", _nested_product(5000)], "error: spec parse error at position "),
+        (["solvable", "path:3", "--dist", dist],
+         f"error: distribution near {dist[-80:]!r} is not a comma-separated "
+         "list of integers"),
+        (["solvable", "path:3", "--dist", "0,0,4", "--budget-states", "1" * 5000],
+         "pebbletools solvable: error: argument --budget-states: expected a "
+         f"non-negative integer, got near {'1' * 80!r}"),
+    ]:
+        proc = _run_module(*argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert proc.stderr.endswith("\n") and lines[-1].startswith(error)
+        assert all(len(line.encode()) < 300 for line in lines)
+        if error.startswith("error: "):
+            assert len(lines) == 1
+        else:  # argparse prints its usage text before the error line
+            assert lines[0].startswith("usage: pebbletools solvable ")
 
 
 def test_module_entry_point_exit_code():

@@ -92,7 +92,6 @@ def test_distribution_basics():
     assert len(d) == 3
     assert d[1] == 2
     assert list(d) == [0, 2, 1]
-    assert d.occupied(1) and not d.occupied(0)
 
 
 def test_distribution_rejects_negative():

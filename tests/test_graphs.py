@@ -7,15 +7,12 @@ from pebbletools import (
     SizeLimitError,
     StructureError,
     UnsupportedDegreeError,
-    are_isomorphic,
     cartesian_product,
     is_canonical_cycle,
     is_canonical_path,
     load_edge_list,
     make_cycle,
     make_path,
-    product_coords,
-    product_vertex,
     read_edge_list,
     remove_vertex_smoothing,
 )
@@ -138,37 +135,23 @@ def test_canonical_cycle_recognition():
 # Cartesian product
 
 
-def test_product_vertex_coords_roundtrip():
-    g, h = make_path(3), make_path(4)
-    for a in range(g.n):
-        for b in range(h.n):
-            idx = product_vertex(a, b, h)
-            assert product_coords(idx, h) == (a, b)
-
-
-def test_product_vertex_rejects_second_coordinate_out_of_range():
-    with pytest.raises(ValueError) as info:
-        product_vertex(0, 5, make_path(3))
-    assert str(info.value) == "second coordinate 5 out of range for 3 vertices"
-
-
 def test_product_of_paths_is_grid():
+    # vertex (a, b) has index a * 3 + b
     p = cartesian_product(make_path(3), make_path(3))
     assert p.n == 9
-    center = product_vertex(1, 1, make_path(3))
+    center = 1 * 3 + 1
     assert p.degree(center) == 4
-    corner = product_vertex(0, 0, make_path(3))
+    corner = 0 * 3 + 0
     assert p.degree(corner) == 2
     # edges join pairs agreeing in one coordinate, adjacent in the other
-    assert p.has_edge(product_vertex(0, 0, make_path(3)),
-                      product_vertex(0, 1, make_path(3)))
-    assert not p.has_edge(product_vertex(0, 0, make_path(3)),
-                          product_vertex(1, 1, make_path(3)))
+    assert p.has_edge(0 * 3 + 0, 0 * 3 + 1)
+    assert not p.has_edge(0 * 3 + 0, 1 * 3 + 1)
 
 
 def test_product_p2_p2_is_c4():
+    # (a, b) is vertex 2a + b, so the product is the cycle 0-1-3-2-0
     p = cartesian_product(make_path(2), make_path(2))
-    assert are_isomorphic(p, make_cycle(4))
+    assert p == Graph(4, [(0, 1), (1, 3), (3, 2), (2, 0)])
 
 
 def test_product_vertex_cap():
@@ -177,30 +160,6 @@ def test_product_vertex_cap():
     # explicit override admits it
     p = cartesian_product(make_path(9), make_path(8), max_vertices=80)
     assert p.n == 72
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def test_isomorphic_small_cases():
-    assert are_isomorphic(make_path(4), Graph(4, [(2, 0), (0, 1), (1, 3)]))
-    assert not are_isomorphic(make_path(4), make_cycle(4))
-    assert not are_isomorphic(make_path(3), make_path(4))
-    assert are_isomorphic(make_path(1), Graph(1, []))
-    # same n, m and degrees: only the search tells them apart, by backtracking
-    two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert not are_isomorphic(make_cycle(6), two_triangles)
-    # same n and m, told apart by the degree sequences
-    assert not are_isomorphic(make_path(4), Graph(4, [(0, 1), (0, 2), (0, 3)]))
-    relabelled = Graph(6, [(0, 3), (3, 5), (5, 1), (1, 4), (4, 2), (2, 0)])
-    assert are_isomorphic(make_cycle(6), relabelled)
-
-
-def test_isomorphism_vertex_cap():
-    with pytest.raises(SizeLimitError):
-        are_isomorphic(make_path(11), make_path(11))
-    assert are_isomorphic(make_path(11), make_path(11), max_vertices=11)
 
 
 # ---------------------------------------------------------------------------

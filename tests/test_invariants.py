@@ -16,7 +16,6 @@ from pebbletools import (
     compositions_array,
     construct_optimal_cycle_distribution,
     construct_optimal_path_distribution,
-    decompose_3t_r,
     formula_fopt_cycle,
     formula_fopt_path,
     graham_optimal_check,
@@ -312,17 +311,6 @@ def test_fold_is_max_pebbles_to_on_trees(g):
 # closed forms
 
 
-def test_decompose_3t_r():
-    assert (decompose_3t_r(7).t, decompose_3t_r(7).r) == (2, 1)
-    assert (decompose_3t_r(6).t, decompose_3t_r(6).r) == (2, 0)
-    assert (decompose_3t_r(1).t, decompose_3t_r(1).r) == (0, 1)
-    for n in range(1, 40):
-        dec = decompose_3t_r(n)
-        assert 3 * dec.t + dec.r == n and dec.r in (0, 1, 2)
-    with pytest.raises(ValueError):
-        decompose_3t_r(0)
-
-
 def test_formula_values():
     for n, want in PATH_VALUES.items():
         assert formula_fopt_path(n) == want
@@ -355,6 +343,11 @@ def test_constructions_refuse_bad_orders():
     with pytest.raises(ValueError) as info:
         construct_optimal_cycle_distribution(2)
     assert str(info.value) == "cycle needs at least 3 vertices, got 2"
+    # the path's closed form and its construction share the one order check
+    for closed_form in (formula_fopt_path, construct_optimal_path_distribution):
+        with pytest.raises(ValueError) as info:
+            closed_form(0)
+        assert str(info.value) == "n must be at least 1, got 0"
     # no list can index an order over sys.maxsize
     for construct in (construct_optimal_path_distribution,
                       construct_optimal_cycle_distribution):

@@ -1,0 +1,25 @@
+"""The package's public surface: the star-import list matches what the
+package exports, and the README's library example runs against it."""
+
+import re
+import types
+from pathlib import Path
+
+import pebbletools
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_all_matches_the_public_names():
+    for name in pebbletools.__all__:
+        assert hasattr(pebbletools, name), name
+    public = {name for name, value in vars(pebbletools).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public <= set(pebbletools.__all__), public - set(pebbletools.__all__)
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("## Library at a glance", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})

@@ -17,7 +17,6 @@ from pebbletools import (
     PreconditionError,
     SizeLimitError,
     StructureError,
-    collapse_preserves_transport,
     collapse_two_pebble_block_path,
     cycle_reduce_big_pile,
     cycle_remove_202_or_220,
@@ -29,7 +28,6 @@ from pebbletools import (
     remove_singleton,
     try_reduce,
 )
-from pebbletools.surgery import cycle_gaps
 
 SKIPPABLE = (PreconditionError, NotApplicableError, StructureError,
              SizeLimitError)
@@ -395,32 +393,14 @@ def test_singleton_keeps_left_transport_past_removed_vertex():
                     assert post >= (a + 1) // 2
 
 
-def test_collapse_floor_inequality_exhaustive():
-    for a in range(2, 65):
-        for b in range(0, 65):
-            assert collapse_preserves_transport(a, b)
-
-
-def test_collapse_floor_inequality_rejects_bad_args():
-    with pytest.raises(ValueError):
-        collapse_preserves_transport(1, 0)
-    with pytest.raises(ValueError):
-        collapse_preserves_transport(2, -1)
-
-
-def test_cycle_gaps_profile():
-    assert cycle_gaps((2, 0, 0, 2, 0, 0)) == [2, 2]
-    assert cycle_gaps((2, 0, 2, 0, 2, 0)) == [1, 1, 1]
-    assert cycle_gaps((0, 2, 0, 0)) == [3]
-    assert cycle_gaps((0, 0, 0)) == []
-
-
 def test_all_gaps_exactly_two_impossible_off_multiples_of_three():
     """With every pile exactly 2, gaps of exactly 2 everywhere force the
     cycle length to a multiple of 3, so lengths 3t+1 never exhibit it."""
     for n in (4, 7):
         for occupied in itertools.chain.from_iterable(
                 itertools.combinations(range(n), m) for m in range(1, n + 1)):
-            counts = tuple(2 if v in occupied else 0 for v in range(n))
-            gaps = cycle_gaps(counts)
-            assert not (gaps and all(gap == 2 for gap in gaps))
+            # the empty run after each pile, walking the cycle in index order
+            m = len(occupied)
+            gaps = [(occupied[(j + 1) % m] - occupied[j] - 1) % n
+                    for j in range(m)]
+            assert not all(gap == 2 for gap in gaps)
