@@ -38,7 +38,6 @@ from .errors import (
     ReplayError,
     SizeLimitError,
     StructureError,
-    UnsupportedDegreeError,
 )
 from .graphs import (
     MAX_PRODUCT_VERTICES,
@@ -50,7 +49,6 @@ from .graphs import (
     make_cycle,
     make_path,
     read_edge_list,
-    remove_vertex_smoothing,
 )
 from .invariants import (
     MAX_GRAHAM_PRODUCT_VERTICES,
@@ -101,7 +99,6 @@ __all__ = [
     "SolveReport",
     "StructureError",
     "SurgeryResult",
-    "UnsupportedDegreeError",
     "apply_move",
     "cartesian_product",
     "collapse_two_pebble_block_path",
@@ -130,7 +127,6 @@ __all__ = [
     "product_distribution",
     "read_edge_list",
     "remove_singleton",
-    "remove_vertex_smoothing",
     "replay",
     "try_reduce",
     "__version__",

@@ -19,14 +19,14 @@ INT is ASCII digits 0-9 (`engine.parse_natural`), and so is every other
 number typed on the command line: each --dist count, --target, --max-n
 and the three caps.  A run of digits too long for int() and a product
 nested deeper than the stack allows are parse errors, not a Python
-ValueError or RecursionError; an error quotes at most `engine._QUOTE`
-characters of a spec, a --dist or a number.  Every spec a command builds
-is parsed under the command's vertex cap, so a `path:`, `cycle:` or
-`file:` spec over it is refused before it is built.  `fopt --construct`
-builds no graph: it takes `path:N` or `cycle:N` and reads the order
-alone; an order over sys.maxsize is a size cap error.  Each family's
-closed forms are named once, in _CLOSED_FORMS, for `--construct` and
-`verify` alike.
+ValueError or RecursionError; an error quotes at most `errors._QUOTE`
+characters of a spec, a --dist, a number or a `file:` line.  Every spec a
+command builds is parsed under the command's vertex cap, so a `path:`,
+`cycle:`, `file:` or `product(` spec over it is refused before it is
+built.  `fopt --construct` builds no graph: it takes `path:N` or
+`cycle:N` and reads the order alone; an order over sys.maxsize is a size
+cap error.  Each family's closed forms are named once, in _CLOSED_FORMS,
+for `--construct` and `verify` alike.
 
 Exit codes: 0 success/holds, 1 verification failure or unreachable,
 2 usage or parse error, 3 budget or size cap exceeded, 4 no surgery
@@ -45,9 +45,11 @@ import sys
 import time
 
 from .engine import (MAX_ENGINE_PEBBLES, MAX_ENGINE_VERTICES, Distribution,
-                     _quote, is_reachable, is_solvable, parse_natural)
-from .errors import BudgetError, NotApplicableError, PebblingError, SizeLimitError
+                     is_reachable, is_solvable, parse_natural)
+from .errors import (BudgetError, NotApplicableError, PebblingError,
+                     SizeLimitError, _quote)
 from .graphs import (
+    MAX_PRODUCT_VERTICES,
     Graph,
     cartesian_product,
     is_canonical_path,
@@ -79,8 +81,9 @@ EXIT_NOT_APPLICABLE = 4
 
 class _SpecParser:
     """Recursive-descent parser for the graph spec grammar.  A `path:`,
-    `cycle:` or `file:` spec over `max_vertices` is refused before it is
-    built."""
+    `cycle:`, `file:` or `product(` spec over `max_vertices` is refused
+    before it is built; with no cap, a product stops at
+    `MAX_PRODUCT_VERTICES`."""
 
     def __init__(self, text: str, max_vertices: int | None = None):
         self.text = text
@@ -89,7 +92,7 @@ class _SpecParser:
 
     def fail(self, message: str) -> ValueError:
         """A parse error at the current position, quoting the spec around
-        it (`engine._quote`)."""
+        it (`errors._quote`)."""
         return ValueError(f"spec parse error at position {self.pos}: {message} "
                           f"({_quote(self.text, self.pos, 'in ')})")
 
@@ -139,7 +142,9 @@ class _SpecParser:
             right = self.spec()
             if not self.literal(")"):
                 raise self.fail("expected ')' closing product")
-            return cartesian_product(left, right)
+            return cartesian_product(left, right, max_vertices=(
+                MAX_PRODUCT_VERTICES if self.max_vertices is None
+                else self.max_vertices))
         if self.literal("file:"):
             path = self.run(lambda c: c not in ",)").strip()
             if not path:
@@ -171,8 +176,9 @@ class _SpecParser:
 
 
 def parse_graph_spec(s: str, max_vertices: int | None = None) -> Graph:
-    """Parse a graph spec string into a Graph; a path:, cycle: or file: spec
-    over max_vertices raises SizeLimitError before it is built."""
+    """Parse a graph spec string into a Graph; a path:, cycle:, file: or
+    product( spec over max_vertices raises SizeLimitError before it is
+    built."""
     parser = _SpecParser(s.strip(), max_vertices)
     g = parser.spec()
     parser.end()

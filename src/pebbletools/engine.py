@@ -32,14 +32,12 @@ import operator
 from dataclasses import dataclass
 from itertools import starmap
 
-from .errors import BudgetError, IllegalMoveError, ReplayError, SizeLimitError
+from .errors import (BudgetError, IllegalMoveError, ReplayError,
+                     SizeLimitError, _quote)
 from .graphs import Graph, is_canonical_path
 
 MAX_ENGINE_VERTICES = 20
 MAX_ENGINE_PEBBLES = 64
-
-# The most characters of typed text that an error message quotes.
-_QUOTE = 80
 
 
 def parse_natural(text: str) -> int:
@@ -54,16 +52,6 @@ def parse_natural(text: str) -> int:
         return int(text)
     except ValueError:  # past sys.get_int_max_str_digits()
         raise ValueError(f"integer of {len(text)} digits is too long") from None
-
-
-def _quote(text: str, pos: int = 0, whole: str = "") -> str:
-    """Typed text as an error message quotes it: `whole` and the text up
-    to _QUOTE characters, otherwise "near" and the _QUOTE characters
-    around position `pos`."""
-    if len(text) <= _QUOTE:
-        return f"{whole}{text!r}"
-    lo = max(0, min(pos - _QUOTE // 2, len(text) - _QUOTE))
-    return f"near {text[lo:lo + _QUOTE]!r}"
 
 
 @dataclass(frozen=True)

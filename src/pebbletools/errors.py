@@ -1,6 +1,20 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule by which
+their messages quote input text (`_quote`)."""
 
 from __future__ import annotations
+
+# The most characters of input text that an error message quotes.
+_QUOTE = 80
+
+
+def _quote(text: str, pos: int = 0, whole: str = "") -> str:
+    """Input text (typed, or a line of a file) as an error message quotes
+    it: `whole` and the text up to _QUOTE characters, otherwise "near" and
+    the _QUOTE characters around position `pos`."""
+    if len(text) <= _QUOTE:
+        return f"{whole}{text!r}"
+    lo = max(0, min(pos - _QUOTE // 2, len(text) - _QUOTE))
+    return f"near {text[lo:lo + _QUOTE]!r}"
 
 
 class PebblingError(Exception):
@@ -28,12 +42,8 @@ class ReplayError(PebblingError):
 
 
 class StructureError(PebblingError):
-    """A graph transformation would produce an invalid structure
-    (self-loop, parallel edge, or too few vertices)."""
-
-
-class UnsupportedDegreeError(PebblingError):
-    """Vertex smoothing was requested at a vertex of degree other than 1 or 2."""
+    """A surgery would leave too few vertices for its family: a path
+    needs 1, a cycle 3."""
 
 
 class PreconditionError(PebblingError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Iterator
 
-from .errors import SizeLimitError, StructureError, UnsupportedDegreeError
+from .errors import SizeLimitError, _quote
 
 MAX_PRODUCT_VERTICES = 64
 
@@ -158,39 +158,6 @@ def cartesian_product(g: Graph, h: Graph, *,
 
 
 # ---------------------------------------------------------------------------
-# smoothing
-
-
-def remove_vertex_smoothing(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    """Delete vertex v, preserving the path structure through it.
-
-    Degree-1: drop v and its edge.  Degree-2: drop v and join its two
-    neighbors directly; if they are already adjacent the operation is
-    refused (it would create a parallel edge).  Returns the new graph and
-    a map from surviving old indices to their new dense indices.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for {g.n} vertices")
-    if g.n == 1:
-        raise StructureError("cannot remove the only vertex")
-    deg = g.degree(v)
-    if deg not in (1, 2):
-        raise UnsupportedDegreeError(
-            f"cannot smooth vertex {v} of degree {deg}; only degrees 1 and 2")
-    index_map = {old: old - (1 if old > v else 0) for old in range(g.n) if old != v}
-    edges = [(index_map[u], index_map[w])
-             for u, w in g.edges() if u != v and w != v]
-    if deg == 2:
-        a, b = g.neighbors(v)
-        if g.has_edge(a, b):
-            raise StructureError(
-                f"neighbors {a} and {b} of vertex {v} are already adjacent; "
-                "smoothing would create a parallel edge")
-        edges.append((index_map[a], index_map[b]))
-    return Graph(g.n - 1, edges), index_map
-
-
-# ---------------------------------------------------------------------------
 # edge-list files
 
 
@@ -212,21 +179,22 @@ def read_edge_list(text: str, max_vertices: int | None = None) -> Graph:
         parts = line.split()
         if n is None:
             if len(parts) != 1:
-                raise ValueError(
-                    f"line {lineno}: expected the vertex count alone, got {line!r}")
+                raise ValueError(f"line {lineno}: expected the vertex count "
+                                 f"alone, got {_quote(line)}")
             try:
                 n = int(parts[0])
             except ValueError:
-                raise ValueError(f"line {lineno}: vertex count {parts[0]!r} "
-                                 "is not an integer") from None
+                raise ValueError(f"line {lineno}: vertex count "
+                                 f"{_quote(parts[0])} is not an integer") from None
             continue
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise ValueError(
+                f"line {lineno}: expected 'u v', got {_quote(line)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be "
-                             f"integers, got {line!r}") from None
+                             f"integers, got {_quote(line)}") from None
         edges.append((u, v))
     if n is None:
         raise ValueError("empty edge-list document: missing vertex count")

@@ -6,7 +6,9 @@ They are the executable form of an inductive shrinking argument; the test
 suite checks the preservation guarantee empirically against the engine.
 Each rule only validates its input and finds its pattern, then names the
 vertices that go and the pebbles that move; one rewrite step, `_rewrite`,
-smooths those vertices out, composes the index maps and counts the net.
+keeps the survivors in index order, numbers them 0..m-1, builds the path
+or cycle on them and counts the net.  It is also the one place a result's
+size is checked: a path must keep a vertex and a cycle three.
 
 All operations require canonical indexing (edges {i, i+1}, and {n-1, 0}
 for cycles), validate their stated preconditions, and refuse with a typed
@@ -23,18 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import Distribution, _check_length
-from .errors import (
-    NotApplicableError,
-    PreconditionError,
-    SizeLimitError,
-    StructureError,
-    UnsupportedDegreeError,
-)
+from .errors import NotApplicableError, PreconditionError, StructureError
 from .graphs import (
     Graph,
     is_canonical_cycle,
     is_canonical_path,
-    remove_vertex_smoothing,
+    make_cycle,
+    make_path,
 )
 
 
@@ -57,21 +54,25 @@ class SurgeryResult:
 def _rewrite(g: Graph, d: Distribution, gone: list[int],
              edits: dict[int, int], rule: str,
              branch: str | None = None) -> SurgeryResult:
-    """Smooth out the vertices in gone, move edits[v] pebbles onto each
-    surviving old vertex v, and report the step; every rule ends here."""
-    index_map = None
-    # Highest index first, so each removal leaves the lower ones in place.
-    for v in sorted(gone, reverse=True):
-        g, step = remove_vertex_smoothing(g, v)
-        index_map = step if index_map is None else {
-            old: step[mid] for old, mid in index_map.items() if mid in step}
-    counts, after = d.counts, [0] * g.n
-    for old, new in index_map.items():
-        after[new] = counts[old]
+    """Delete the vertices in gone from the canonical path or cycle g,
+    number the m survivors 0..m-1 in index order, move edits[v] pebbles
+    onto each surviving old vertex v, and report the step on the path or
+    cycle of order m; every rule ends here.  StructureError when that
+    leaves a path no vertex or a cycle fewer than 3."""
+    # A canonical cycle has n edges, a canonical path n - 1.
+    family, make, floor = (("cycle", make_cycle, 3) if g.edge_count == g.n
+                           else ("path", make_path, 1))
+    kept = [v for v in range(g.n) if v not in gone]
+    if len(kept) < floor:
+        raise StructureError(
+            f"deleting {len(gone)} of the {g.n} vertices of a {family} "
+            f"leaves {len(kept)}; a {family} needs at least {floor}")
+    index_map = {old: new for new, old in enumerate(kept)}
+    after = [d.counts[old] for old in kept]
     for v, delta in edits.items():
         after[index_map[v]] += delta
-    return SurgeryResult(g, Distribution(tuple(after)), index_map,
-                         d.size - sum(after), rule, branch)
+    return SurgeryResult(make(len(kept)), Distribution(tuple(after)),
+                         index_map, d.size - sum(after), rule, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +82,14 @@ def _rewrite(g: Graph, d: Distribution, gone: list[int],
 def remove_singleton(g: Graph, d: Distribution, v: int) -> SurgeryResult:
     """Delete a vertex carrying exactly one pebble, discarding the pebble.
 
-    The vertex is removed by smoothing, so transport routes through it
-    shorten rather than break: anything a neighbor could previously relay
-    across v still arrives, which is why solvable inputs stay solvable.
+    On a canonical path or cycle the neighbors of v become adjacent, so
+    transport routes through it shorten rather than break: anything a
+    neighbor could previously relay across v still arrives, which is why
+    solvable inputs stay solvable.
     """
     _check_length(g, d)
+    if not (is_canonical_path(g) or is_canonical_cycle(g)):
+        raise ValueError("requires a canonically indexed path or cycle")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for {g.n} vertices")
     if d.counts[v] != 1:
@@ -112,7 +116,7 @@ def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
     - the pile is exactly 2 and its predecessor is empty: the three
       vertices read [0, 2, 0]; delete the predecessor and the pile as well,
       with both pebbles.  When they are the whole path (path:3 [0, 2, 0])
-      this raises SizeLimitError: f_opt(P2) = 2 and f_opt(P1) = 1, so no
+      this raises StructureError: f_opt(P2) = 2 and f_opt(P1) = 1, so no
       rewrite that removes at least 2/3 of a pebble per deleted vertex
       leaves a solvable output.
 
@@ -154,9 +158,6 @@ def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
     elif pred is None:
         edits = {pile: -1}
     else:
-        if n == 3:
-            raise SizeLimitError(
-                "collapsing the [0,2,0] block would delete the whole path")
         gone += [pile, pred]
         edits = {}
     return _rewrite(g, d, gone, edits, "collapse_two_pebble_block_path")
@@ -187,10 +188,6 @@ def cycle_remove_202_or_220(g: Graph, d: Distribution) -> SurgeryResult:
             break
     if window_start is None:
         raise NotApplicableError("no [2,0,2] or [2,2,0] window on the cycle")
-    if n - 2 < 3:
-        raise SizeLimitError(
-            f"removing two vertices from a {n}-cycle leaves fewer than 3")
-
     gone = [(window_start + 1) % n, (window_start + 2) % n]
     return _rewrite(g, d, gone, {}, "cycle_remove_202_or_220")
 
@@ -250,8 +247,7 @@ def cycle_reduce_big_pile(g: Graph, d: Distribution) -> SurgeryResult:
 # dispatch
 
 
-_SKIPPABLE = (PreconditionError, NotApplicableError, StructureError,
-              SizeLimitError, UnsupportedDegreeError)
+_SKIPPABLE = (PreconditionError, NotApplicableError, StructureError)
 
 
 def try_reduce(g: Graph, d: Distribution) -> SurgeryResult:

@@ -249,6 +249,17 @@ def test_oversized_spec_refused_before_it_is_built(capsys, tmp_path, argv, size,
     assert err == f"size cap exceeded: {size} vertices exceeds cap {cap}\n"
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["fopt", "product(path:5,path:5)"],
+     "size cap exceeded: product would have 25 vertices, cap is 20\n"),
+    (["fopt", "product(path:9,path:9)", "--max-vertices", "100",
+      "--budget-states", "1"],
+     "budget exceeded: distribution budget 1 exhausted\n"),
+], ids=["default-cap", "raised-cap"])
+def test_product_spec_obeys_the_vertex_cap(capsys, argv, err):
+    assert run(capsys, *argv) == (3, "", err)
+
+
 def test_fopt_budget_exit_3(capsys):
     code, _, err = run(capsys, "fopt", "cycle:6", "--budget-states", "5")
     assert code == 3
@@ -714,11 +725,20 @@ def test_too_deeply_nested_product_exit_2(argv):
     assert "Traceback" not in proc.stderr
 
 
-def test_deeply_nested_product_error_is_one_short_line():
+def test_deeply_nested_product_error_is_one_short_line(tmp_path):
     # test_spec_order_too_long_for_int_exit_2 pins a 5,000-digit order
-    # exactly; a long --dist and a long integer flag are quoted the same way
+    # exactly; a long --dist, a long integer flag and a long line of a
+    # file: edge list are quoted the same way
     dist = "1," * 20000 + "x"
+    numbers = " ".join(["1"] * 20000)
+    (tmp_path / "header.edges").write_text(f"{numbers}\n")
+    (tmp_path / "edge.edges").write_text(f"3\n0 1\n{numbers}\n")
     for argv, error in [
+        (["fopt", f"file:{tmp_path / 'header.edges'}"],
+         "error: line 1: expected the vertex count alone, got near "
+         f"{numbers[:80]!r}"),
+        (["fopt", f"file:{tmp_path / 'edge.edges'}"],
+         f"error: line 3: expected 'u v', got near {numbers[:80]!r}"),
         (["fopt", _nested_product(5000)], "error: spec parse error at position "),
         (["solvable", "path:3", "--dist", dist],
          f"error: distribution near {dist[-80:]!r} is not a comma-separated "

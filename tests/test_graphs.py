@@ -1,12 +1,10 @@
-"""Tests for graph construction, products, smoothing, and edge-list IO."""
+"""Tests for graph construction, products, and edge-list IO."""
 
 import pytest
 
 from pebbletools import (
     Graph,
     SizeLimitError,
-    StructureError,
-    UnsupportedDegreeError,
     cartesian_product,
     is_canonical_cycle,
     is_canonical_path,
@@ -14,7 +12,6 @@ from pebbletools import (
     make_cycle,
     make_path,
     read_edge_list,
-    remove_vertex_smoothing,
 )
 
 
@@ -160,54 +157,6 @@ def test_product_vertex_cap():
     # explicit override admits it
     p = cartesian_product(make_path(9), make_path(8), max_vertices=80)
     assert p.n == 72
-
-
-# ---------------------------------------------------------------------------
-# smoothing
-
-
-def test_smoothing_interior_path_vertex():
-    g, index_map = remove_vertex_smoothing(make_path(4), 2)
-    assert g.n == 3
-    assert index_map == {0: 0, 1: 1, 3: 2}
-    assert sorted(g.edges()) == [(0, 1), (1, 2)]
-    assert is_canonical_path(g)
-
-
-def test_smoothing_path_endpoint():
-    g, index_map = remove_vertex_smoothing(make_path(4), 0)
-    assert g.n == 3
-    assert index_map == {1: 0, 2: 1, 3: 2}
-    assert is_canonical_path(g)
-
-
-def test_smoothing_cycle_vertex():
-    g, index_map = remove_vertex_smoothing(make_cycle(5), 2)
-    assert g.n == 4
-    assert index_map == {0: 0, 1: 1, 3: 2, 4: 3}
-    assert is_canonical_cycle(g)
-
-
-def test_smoothing_rejects_triangle():
-    with pytest.raises(StructureError):
-        remove_vertex_smoothing(make_cycle(3), 0)
-
-
-def test_smoothing_rejects_last_vertex():
-    with pytest.raises(StructureError):
-        remove_vertex_smoothing(make_path(1), 0)
-
-
-def test_smoothing_rejects_high_degree():
-    grid = cartesian_product(make_path(2), make_path(3))
-    high = next(v for v in range(grid.n) if grid.degree(v) == 3)
-    with pytest.raises(UnsupportedDegreeError):
-        remove_vertex_smoothing(grid, high)
-
-
-def test_smoothing_rejects_bad_vertex():
-    with pytest.raises(ValueError):
-        remove_vertex_smoothing(make_path(3), 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """The package's public surface: the star-import list matches what the
-package exports, and the README's library example runs against it."""
+package exports, and the README's library and CLI examples run against
+it."""
 
 import re
+import shlex
 import types
 from pathlib import Path
 
+import pytest
+
 import pebbletools
+from pebbletools.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -23,3 +28,15 @@ def test_readme_library_example_runs():
     section = README.read_text().split("## Library at a glance", 1)[1]
     example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def _readme_cli_lines():
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_example_runs(capsys, argv):
+    assert argv[0] == "pebbletools"
+    assert main(argv[1:]) == 0

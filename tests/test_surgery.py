@@ -15,8 +15,8 @@ from pebbletools import (
     Distribution,
     NotApplicableError,
     PreconditionError,
-    SizeLimitError,
     StructureError,
+    cartesian_product,
     collapse_two_pebble_block_path,
     cycle_reduce_big_pile,
     cycle_remove_202_or_220,
@@ -29,8 +29,7 @@ from pebbletools import (
     try_reduce,
 )
 
-SKIPPABLE = (PreconditionError, NotApplicableError, StructureError,
-             SizeLimitError)
+SKIPPABLE = (PreconditionError, NotApplicableError, StructureError)
 
 
 def solvable_distributions(g, max_size):
@@ -81,6 +80,38 @@ def test_singleton_rejects_vertex_out_of_range():
 def test_singleton_rejects_triangle():
     with pytest.raises(StructureError):
         remove_singleton(make_cycle(3), Distribution((1, 2, 2)), 0)
+
+
+def test_singleton_requires_path_or_cycle():
+    grid = cartesian_product(make_path(2), make_path(3))
+    with pytest.raises(ValueError) as info:
+        remove_singleton(grid, Distribution((1, 0, 0, 0, 0, 2)), 0)
+    assert str(info.value) == "requires a canonically indexed path or cycle"
+
+
+@pytest.mark.parametrize("rule,graph,counts,args,message", [
+    (remove_singleton, make_path(1), (1,), (0,),
+     "deleting 1 of the 1 vertices of a path leaves 0; "
+     "a path needs at least 1"),
+    (collapse_two_pebble_block_path, make_path(3), (0, 2, 0), (),
+     "deleting 3 of the 3 vertices of a path leaves 0; "
+     "a path needs at least 1"),
+    (remove_singleton, make_cycle(3), (1, 2, 2), (0,),
+     "deleting 1 of the 3 vertices of a cycle leaves 2; "
+     "a cycle needs at least 3"),
+    (cycle_remove_202_or_220, make_cycle(4), (2, 2, 0, 2), (),
+     "deleting 2 of the 4 vertices of a cycle leaves 2; "
+     "a cycle needs at least 3"),
+    (cycle_reduce_big_pile, make_cycle(3), (3, 2, 2), (),
+     "deleting 1 of the 3 vertices of a cycle leaves 2; "
+     "a cycle needs at least 3"),
+], ids=["singleton-path", "collapse-path", "singleton-cycle",
+        "window-cycle", "big-pile-cycle"])
+def test_every_rule_keeps_its_family_floor(rule, graph, counts, args,
+                                           message):
+    with pytest.raises(StructureError) as info:
+        rule(graph, Distribution(counts), *args)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +190,7 @@ def test_cycle_window_requires_exactly_two_per_pile():
 
 
 def test_cycle_window_too_small_to_shrink():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(StructureError):
         cycle_remove_202_or_220(make_cycle(4), Distribution((2, 2, 0, 2)))
 
 
@@ -235,7 +266,6 @@ def test_try_reduce_nothing_applies():
 
 
 def test_try_reduce_requires_path_or_cycle():
-    from pebbletools import cartesian_product
     grid = cartesian_product(make_path(2), make_path(3))
     with pytest.raises(ValueError):
         try_reduce(grid, Distribution((1,) * 6))
@@ -262,21 +292,30 @@ def test_every_rule_checks_the_length(rule, graph, args):
 
 
 def test_size_accounting_matches_reported_net():
-    for g, make_ops in [
-        (make_path(5), lambda g, d: [collapse_two_pebble_block_path]),
-        (make_cycle(5), lambda g, d: [cycle_remove_202_or_220,
-                                      cycle_reduce_big_pile]),
+    """Every rule reports its net, removes at least 2/3 of a pebble per
+    deleted vertex, and leaves the input's family on the survivors,
+    numbered 0..m-1 in their old order."""
+    for make, rules in [
+        (make_path, [collapse_two_pebble_block_path]),
+        (make_cycle, [cycle_remove_202_or_220, cycle_reduce_big_pile]),
     ]:
+        g = make(5)
         for d in solvable_distributions(g, 6):
-            for op in make_ops(g, d):
+            calls = [(op, ()) for op in rules] + [
+                (remove_singleton, (v,)) for v in range(g.n) if d[v] == 1]
+            for op, args in calls:
                 try:
-                    res = op(g, d)
+                    res = op(g, d, *args)
                 except SKIPPABLE:
                     continue
                 net = res.pebbles_removed_net
                 assert d.size - res.dist_after.size == net
                 assert net >= 1
                 assert 3 * net >= 2 * (g.n - res.graph_after.n)
+                m = res.graph_after.n
+                assert res.graph_after == make(m)
+                survivors = sorted(res.index_map)
+                assert [res.index_map[v] for v in survivors] == list(range(m))
 
 
 def test_index_map_preserves_untouched_counts():
@@ -335,7 +374,7 @@ def test_collapse_preservation_exceptions_characterized():
         for d in solvable_distributions(g, 4):
             try:
                 res = collapse_two_pebble_block_path(g, d)
-            except SizeLimitError:
+            except StructureError:
                 refused.add((n, d.counts))
                 continue
             except SKIPPABLE:
