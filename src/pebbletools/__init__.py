@@ -34,17 +34,14 @@ from .errors import (
     IllegalMoveError,
     NotApplicableError,
     PebblingError,
-    PreconditionError,
     ReplayError,
     SizeLimitError,
-    StructureError,
 )
 from .graphs import (
     MAX_PRODUCT_VERTICES,
     Graph,
+    canonical_family,
     cartesian_product,
-    is_canonical_cycle,
-    is_canonical_path,
     load_edge_list,
     make_cycle,
     make_path,
@@ -93,13 +90,12 @@ __all__ = [
     "NotApplicableError",
     "NumberReport",
     "PebblingError",
-    "PreconditionError",
     "ReplayError",
     "SizeLimitError",
     "SolveReport",
-    "StructureError",
     "SurgeryResult",
     "apply_move",
+    "canonical_family",
     "cartesian_product",
     "collapse_two_pebble_block_path",
     "compositions_array",
@@ -110,8 +106,6 @@ __all__ = [
     "formula_fopt_cycle",
     "formula_fopt_path",
     "graham_optimal_check",
-    "is_canonical_cycle",
-    "is_canonical_path",
     "is_cycle_canonical",
     "is_path_canonical",
     "is_reachable",

@@ -15,18 +15,19 @@ Graph specs follow the grammar
           | "file:" PATH
     PAIR := SPEC "," SPEC        (graham; whitespace allowed around each SPEC)
 
-INT is ASCII digits 0-9 (`engine.parse_natural`), and so is every other
-number typed on the command line: each --dist count, --target, --max-n
-and the three caps.  A run of digits too long for int() and a product
-nested deeper than the stack allows are parse errors, not a Python
-ValueError or RecursionError; an error quotes at most `errors._QUOTE`
-characters of a spec, a --dist, a number or a `file:` line.  Every spec a
-command builds is parsed under the command's vertex cap, so a `path:`,
-`cycle:`, `file:` or `product(` spec over it is refused before it is
-built.  `fopt --construct` builds no graph: it takes `path:N` or
-`cycle:N` and reads the order alone; an order over sys.maxsize is a size
-cap error.  Each family's closed forms are named once, in _CLOSED_FORMS,
-for `--construct` and `verify` alike.
+INT is ASCII digits 0-9 (`errors.parse_natural`), and so is every other
+number typed on the command line (each --dist count, --target, --max-n
+and the three caps) or read from a `file:` edge list.  A run of digits
+too long for int() and a product nested deeper than the stack allows are
+parse errors, not a Python ValueError or RecursionError; an error quotes
+at most `errors._QUOTE` characters of a spec, a --dist, a number, a
+`file:` line or a `file:` path the OS refuses.  Every spec a command
+builds is parsed under the command's vertex cap, so a `path:`, `cycle:`,
+`file:` or `product(` spec over it is refused before it is built.
+`fopt --construct` builds no graph: it takes `path:N` or `cycle:N` and
+reads the order alone; an order over sys.maxsize is a size cap error.
+Each family's closed forms are named once, in _CLOSED_FORMS, for
+`--construct` and `verify` alike.
 
 Exit codes: 0 success/holds, 1 verification failure or unreachable,
 2 usage or parse error, 3 budget or size cap exceeded, 4 no surgery
@@ -45,14 +46,14 @@ import sys
 import time
 
 from .engine import (MAX_ENGINE_PEBBLES, MAX_ENGINE_VERTICES, Distribution,
-                     is_reachable, is_solvable, parse_natural)
+                     is_reachable, is_solvable)
 from .errors import (BudgetError, NotApplicableError, PebblingError,
-                     SizeLimitError, _quote)
+                     SizeLimitError, _quote, parse_natural)
 from .graphs import (
     MAX_PRODUCT_VERTICES,
     Graph,
+    canonical_family,
     cartesian_product,
-    is_canonical_path,
     load_edge_list,
     make_cycle,
     make_path,
@@ -397,7 +398,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     dist = Distribution.parse(args.dist)
     # Every surgery keeps a path a path and a cycle a cycle, and try_reduce
     # refuses any other graph before a label is printed.
-    family = "path" if is_canonical_path(g) else "cycle"
+    family = canonical_family(g)
 
     steps, lines = [], []
     while True:

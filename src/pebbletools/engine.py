@@ -33,25 +33,11 @@ from dataclasses import dataclass
 from itertools import starmap
 
 from .errors import (BudgetError, IllegalMoveError, ReplayError,
-                     SizeLimitError, _quote)
-from .graphs import Graph, is_canonical_path
+                     SizeLimitError, _quote, parse_natural)
+from .graphs import Graph, canonical_family
 
 MAX_ENGINE_VERTICES = 20
 MAX_ENGINE_PEBBLES = 64
-
-
-def parse_natural(text: str) -> int:
-    """The one rule for a typed number: a run of ASCII digits 0-9.
-
-    Signs, underscores, spaces and non-ASCII digits are refused, and so is
-    a run longer than `int()` converts; each raises ValueError.
-    """
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError("expected an integer")
-    try:
-        return int(text)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise ValueError(f"integer of {len(text)} digits is too long") from None
 
 
 @dataclass(frozen=True)
@@ -377,7 +363,7 @@ def max_pebbles_to_path_greedy(g: Graph, d: Distribution, target: int) -> int:
     """Closed-form transport maximum on a canonically indexed path: the
     fold toward `target`, exact on every tree; the test suite holds it to
     the generic engine."""
-    if not is_canonical_path(g):
+    if canonical_family(g) != "path":
         raise ValueError("greedy transport requires a canonically indexed path")
     _check_engine_inputs(g, d, g.n, d.size, target)
     return _fold(d.counts, target, g.derived(_fold_schedule))

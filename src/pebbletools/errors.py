@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the one rule by which
-their messages quote input text (`_quote`)."""
+"""Exception types shared across the toolkit, the one rule for a number
+in input text (`parse_natural`), and the one rule by which error messages
+quote input text (`_quote`)."""
 
 from __future__ import annotations
 
@@ -7,10 +8,25 @@ from __future__ import annotations
 _QUOTE = 80
 
 
+def parse_natural(text: str) -> int:
+    """The one rule for a number in input text, typed or in a `file:`: a
+    run of ASCII digits 0-9.
+
+    Signs, underscores, spaces and non-ASCII digits are refused, and so is
+    a run longer than `int()` converts; each raises ValueError.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("expected an integer")
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"integer of {len(text)} digits is too long") from None
+
+
 def _quote(text: str, pos: int = 0, whole: str = "") -> str:
-    """Input text (typed, or a line of a file) as an error message quotes
-    it: `whole` and the text up to _QUOTE characters, otherwise "near" and
-    the _QUOTE characters around position `pos`."""
+    """Input text (typed, a line of a file, or a file's path) as an error
+    message quotes it: `whole` and the text up to _QUOTE characters,
+    otherwise "near" and the _QUOTE characters around position `pos`."""
     if len(text) <= _QUOTE:
         return f"{whole}{text!r}"
     lo = max(0, min(pos - _QUOTE // 2, len(text) - _QUOTE))
@@ -41,17 +57,10 @@ class ReplayError(PebblingError):
         self.step = step
 
 
-class StructureError(PebblingError):
-    """A surgery would leave too few vertices for its family: a path
-    needs 1, a cycle 3."""
-
-
-class PreconditionError(PebblingError):
-    """A distribution does not satisfy a surgery's pebble-count preconditions."""
-
-
 class NotApplicableError(PebblingError):
-    """A surgery's structural pattern is absent from the distribution."""
+    """A surgery does not fit the distribution: its pattern is absent, a
+    pebble count breaks its precondition, or the result would leave too
+    few vertices for its family (a path needs 1, a cycle 3)."""
 
 
 class BudgetError(PebblingError):

@@ -3,6 +3,11 @@
 Vertices are always 0..n-1.  Graphs are immutable once built and safe to
 share between threads; derived data (BFS distances, the engine's move
 tables) is computed on first use and kept with the graph.
+
+`canonical_family` is the one test for the canonically indexed path or
+cycle, the graphs the surgeries and the orbit filter take.  Every number
+of an edge-list file follows `errors.parse_natural`, the rule for typed
+numbers.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Iterator
 
-from .errors import SizeLimitError, _quote
+from .errors import SizeLimitError, _quote, parse_natural
 
 MAX_PRODUCT_VERTICES = 64
 
@@ -119,18 +124,15 @@ def make_cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def is_canonical_path(g: Graph) -> bool:
-    """True when g is exactly the path 0-1-...-(n-1)."""
-    if g.edge_count != g.n - 1:
-        return False
-    return all(g.has_edge(i, i + 1) for i in range(g.n - 1))
-
-
-def is_canonical_cycle(g: Graph) -> bool:
-    """True when g is exactly the cycle 0-1-...-(n-1)-0."""
-    if g.n < 3 or g.edge_count != g.n:
-        return False
-    return all(g.has_edge(i, (i + 1) % g.n) for i in range(g.n))
+def canonical_family(g: Graph) -> str | None:
+    """"path" when g is exactly the path 0-1-...-(n-1), "cycle" when it is
+    exactly the cycle 0-1-...-(n-1)-0, otherwise None."""
+    n, m = g.n, g.edge_count
+    if m == n - 1 and all(g.has_edge(i, i + 1) for i in range(n - 1)):
+        return "path"
+    if m == n >= 3 and all(g.has_edge(i, (i + 1) % n) for i in range(n)):
+        return "cycle"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,8 @@ def read_edge_list(text: str, max_vertices: int | None = None) -> Graph:
     """Parse an edge-list document.
 
     First significant line: vertex count n.  Every following significant
-    line: `u v` for an edge.  Lines starting with '#' and blank lines are
+    line: `u v` for an edge.  Each number is ASCII digits
+    (`errors.parse_natural`).  Lines starting with '#' and blank lines are
     ignored.  Duplicate edges are ignored; self-loops and out-of-range
     endpoints are errors.  An n over max_vertices raises SizeLimitError
     once every line has parsed, before the graph is built.
@@ -182,16 +185,16 @@ def read_edge_list(text: str, max_vertices: int | None = None) -> Graph:
                 raise ValueError(f"line {lineno}: expected the vertex count "
                                  f"alone, got {_quote(line)}")
             try:
-                n = int(parts[0])
-            except ValueError:
+                n = parse_natural(parts[0])
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: vertex count "
-                                 f"{_quote(parts[0])} is not an integer") from None
+                                 f"{_quote(parts[0])}: {exc}") from None
             continue
         if len(parts) != 2:
             raise ValueError(
                 f"line {lineno}: expected 'u v', got {_quote(line)}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(parse_natural, parts)
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be "
                              f"integers, got {_quote(line)}") from None
@@ -207,7 +210,11 @@ def read_edge_list(text: str, max_vertices: int | None = None) -> Graph:
 
 
 def load_edge_list(path: str, max_vertices: int | None = None) -> Graph:
-    """Read an edge-list file from disk (see read_edge_list)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return read_edge_list(text, max_vertices)
+    """Read an edge-list file from disk (see read_edge_list).  An OSError
+    from opening it quotes the path through `errors._quote`."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, f"{exc.strerror}: {_quote(path)}") from None
+    with fh:
+        return read_edge_list(fh.read(), max_vertices)

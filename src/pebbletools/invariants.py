@@ -58,7 +58,7 @@ from .enumeration import (  # noqa: F401
     is_path_canonical,
 )
 from .errors import BudgetError, SizeLimitError
-from .graphs import Graph, cartesian_product, is_canonical_cycle, is_canonical_path
+from .graphs import Graph, canonical_family, cartesian_product
 
 MAX_PEBBLING_VERTICES = 8
 MAX_PEBBLING_VALUE = 32
@@ -275,9 +275,10 @@ def _orbit_images(g: Graph):
     r_0, and rho^1(r) has r_p > a at p - 1: all three are above r.
     """
     ring = np.arange(g.n)
-    if is_canonical_path(g):
+    family = canonical_family(g)
+    if family == "path":
         return [ring[::-1]]
-    if is_canonical_cycle(g):
+    if family == "cycle":
         return ([np.roll(ring, -s) for s in range(2, g.n - 1)]
                 + [np.roll(ring[::-1], -s) for s in range(1, g.n)])
     return None

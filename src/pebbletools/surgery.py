@@ -10,14 +10,17 @@ keeps the survivors in index order, numbers them 0..m-1, builds the path
 or cycle on them and counts the net.  It is also the one place a result's
 size is checked: a path must keep a vertex and a cycle three.
 
-All operations require canonical indexing (edges {i, i+1}, and {n-1, 0}
-for cycles), validate their stated preconditions, and refuse with a typed
-error rather than guessing.  Tie-breaks are fixed: lowest vertex index
-first, increasing direction preferred, so results are deterministic.  The
-length check is the engine's `_check_length`, the package's only one.
-Every rule keeps a path a path and a cycle a cycle, so a chain of
-`try_reduce` steps, which takes no other graph, stays in the family it
-started in.
+Every rule and `try_reduce` open with one gate, `_gate`: the engine's
+`_check_length` (the package's only length check) and
+`graphs.canonical_family`, which must name a family the rule takes (edges
+{i, i+1}, and {n-1, 0} for cycles); a wrong graph or length is a
+ValueError.  A rule then either returns a `SurgeryResult` or raises
+`NotApplicableError`, whether its pattern is absent, a pebble count breaks
+its precondition or the result would be too small.  Tie-breaks are fixed:
+lowest vertex index first, increasing direction preferred, so results are
+deterministic.  Every rule keeps a path a path and a cycle a cycle, so a
+chain of `try_reduce` steps, which takes no other graph, stays in the
+family it started in.
 """
 
 from __future__ import annotations
@@ -25,14 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import Distribution, _check_length
-from .errors import NotApplicableError, PreconditionError, StructureError
-from .graphs import (
-    Graph,
-    is_canonical_cycle,
-    is_canonical_path,
-    make_cycle,
-    make_path,
-)
+from .errors import NotApplicableError
+from .graphs import Graph, canonical_family, make_cycle, make_path
 
 
 @dataclass(frozen=True)
@@ -51,20 +48,30 @@ class SurgeryResult:
     branch: str | None = None
 
 
-def _rewrite(g: Graph, d: Distribution, gone: list[int],
+def _gate(g: Graph, d: Distribution, *families: str) -> str:
+    """The check every rule and `try_reduce` open with: d fits g, and g is
+    the canonical member of one of `families`, which is returned.
+    ValueError otherwise."""
+    _check_length(g, d)
+    family = canonical_family(g)
+    if family not in families:
+        raise ValueError(
+            f"requires a canonically indexed {' or '.join(families)}")
+    return family
+
+
+def _rewrite(g: Graph, d: Distribution, family: str, gone: list[int],
              edits: dict[int, int], rule: str,
              branch: str | None = None) -> SurgeryResult:
-    """Delete the vertices in gone from the canonical path or cycle g,
-    number the m survivors 0..m-1 in index order, move edits[v] pebbles
-    onto each surviving old vertex v, and report the step on the path or
-    cycle of order m; every rule ends here.  StructureError when that
-    leaves a path no vertex or a cycle fewer than 3."""
-    # A canonical cycle has n edges, a canonical path n - 1.
-    family, make, floor = (("cycle", make_cycle, 3) if g.edge_count == g.n
-                           else ("path", make_path, 1))
+    """Delete the vertices in gone from g, the canonical member of
+    `family`, number the m survivors 0..m-1 in index order, move edits[v]
+    pebbles onto each surviving old vertex v, and report the step on the
+    member of order m; every rule ends here.  NotApplicableError when
+    that leaves a path no vertex or a cycle fewer than 3."""
+    make, floor = (make_path, 1) if family == "path" else (make_cycle, 3)
     kept = [v for v in range(g.n) if v not in gone]
     if len(kept) < floor:
-        raise StructureError(
+        raise NotApplicableError(
             f"deleting {len(gone)} of the {g.n} vertices of a {family} "
             f"leaves {len(kept)}; a {family} needs at least {floor}")
     index_map = {old: new for new, old in enumerate(kept)}
@@ -87,15 +94,13 @@ def remove_singleton(g: Graph, d: Distribution, v: int) -> SurgeryResult:
     neighbor could previously relay across v still arrives, which is why
     solvable inputs stay solvable.
     """
-    _check_length(g, d)
-    if not (is_canonical_path(g) or is_canonical_cycle(g)):
-        raise ValueError("requires a canonically indexed path or cycle")
+    family = _gate(g, d, "path", "cycle")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for {g.n} vertices")
     if d.counts[v] != 1:
-        raise PreconditionError(
+        raise NotApplicableError(
             f"vertex {v} carries {d.counts[v]} pebbles, needs exactly 1")
-    return _rewrite(g, d, [v], {}, "remove_singleton")
+    return _rewrite(g, d, family, [v], {}, "remove_singleton")
 
 
 def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
@@ -116,7 +121,7 @@ def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
     - the pile is exactly 2 and its predecessor is empty: the three
       vertices read [0, 2, 0]; delete the predecessor and the pile as well,
       with both pebbles.  When they are the whole path (path:3 [0, 2, 0])
-      this raises StructureError: f_opt(P2) = 2 and f_opt(P1) = 1, so no
+      this raises NotApplicableError: f_opt(P2) = 2 and f_opt(P1) = 1, so no
       rewrite that removes at least 2/3 of a pebble per deleted vertex
       leaves a solvable output.
 
@@ -125,12 +130,10 @@ def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
     solvable input solvable (checked against the engine on every path with
     n <= 10 and at most 10 pebbles).
     """
-    _check_length(g, d)
-    if not is_canonical_path(g):
-        raise ValueError("requires a canonically indexed path")
+    _gate(g, d, "path")
     counts = d.counts
     if any(c == 1 for c in counts):
-        raise PreconditionError(
+        raise NotApplicableError(
             "every occupied vertex must carry at least 2 pebbles")
     n = g.n
 
@@ -160,7 +163,8 @@ def collapse_two_pebble_block_path(g: Graph, d: Distribution) -> SurgeryResult:
     else:
         gone += [pile, pred]
         edits = {}
-    return _rewrite(g, d, gone, edits, "collapse_two_pebble_block_path")
+    return _rewrite(g, d, "path", gone, edits,
+                    "collapse_two_pebble_block_path")
 
 
 def cycle_remove_202_or_220(g: Graph, d: Distribution) -> SurgeryResult:
@@ -172,12 +176,10 @@ def cycle_remove_202_or_220(g: Graph, d: Distribution) -> SurgeryResult:
     exactly 2.  The window guarantees the vertex after the cut is occupied
     or adjacent to the surviving pile, which keeps the result solvable.
     """
-    _check_length(g, d)
-    if not is_canonical_cycle(g):
-        raise ValueError("requires a canonically indexed cycle")
+    _gate(g, d, "cycle")
     counts = d.counts
     if any(c not in (0, 2) for c in counts):
-        raise PreconditionError(
+        raise NotApplicableError(
             "every occupied vertex must carry exactly 2 pebbles")
     n = g.n
     window_start = None
@@ -189,7 +191,7 @@ def cycle_remove_202_or_220(g: Graph, d: Distribution) -> SurgeryResult:
     if window_start is None:
         raise NotApplicableError("no [2,0,2] or [2,2,0] window on the cycle")
     gone = [(window_start + 1) % n, (window_start + 2) % n]
-    return _rewrite(g, d, gone, {}, "cycle_remove_202_or_220")
+    return _rewrite(g, d, "cycle", gone, {}, "cycle_remove_202_or_220")
 
 
 def cycle_reduce_big_pile(g: Graph, d: Distribution) -> SurgeryResult:
@@ -208,9 +210,7 @@ def cycle_reduce_big_pile(g: Graph, d: Distribution) -> SurgeryResult:
 
     Every branch removes exactly one net pebble.
     """
-    _check_length(g, d)
-    if not is_canonical_cycle(g):
-        raise ValueError("requires a canonically indexed cycle")
+    _gate(g, d, "cycle")
     counts = d.counts
     n = g.n
     pile = next((v for v in range(n) if counts[v] >= 3), None)
@@ -222,9 +222,9 @@ def cycle_reduce_big_pile(g: Graph, d: Distribution) -> SurgeryResult:
     rule = "cycle_reduce_big_pile"
     if counts[succ] == 0 or counts[pred] == 0:
         empty, other = (succ, pred) if counts[succ] == 0 else (pred, succ)
-        return _rewrite(g, d, [empty], {pile: -2, other: 1}, rule, "a")
+        return _rewrite(g, d, "cycle", [empty], {pile: -2, other: 1}, rule, "a")
     if counts[pile] == 3:
-        return _rewrite(g, d, [pile], {succ: 1, pred: 1}, rule, "b")
+        return _rewrite(g, d, "cycle", [pile], {succ: 1, pred: 1}, rule, "b")
     nearest = None
     direction = 0
     for k in range(2, n // 2 + 1):
@@ -240,14 +240,11 @@ def cycle_reduce_big_pile(g: Graph, d: Distribution) -> SurgeryResult:
         raise NotApplicableError(
             "every vertex is occupied; no nearest unoccupied vertex")
     behind = (pile - direction) % n
-    return _rewrite(g, d, [nearest], {pile: -3, behind: 2}, rule, "c")
+    return _rewrite(g, d, "cycle", [nearest], {pile: -3, behind: 2}, rule, "c")
 
 
 # ---------------------------------------------------------------------------
 # dispatch
-
-
-_SKIPPABLE = (PreconditionError, NotApplicableError, StructureError)
 
 
 def try_reduce(g: Graph, d: Distribution) -> SurgeryResult:
@@ -256,18 +253,10 @@ def try_reduce(g: Graph, d: Distribution) -> SurgeryResult:
 
     Raises NotApplicableError when nothing applies.
     """
-    _check_length(g, d)
-    if is_canonical_path(g):
-        attempts = [_try_singleton, collapse_two_pebble_block_path]
-    elif is_canonical_cycle(g):
-        attempts = [_try_singleton, cycle_remove_202_or_220,
-                    cycle_reduce_big_pile]
-    else:
-        raise ValueError("reduction requires a canonically indexed path or cycle")
-    for op in attempts:
+    for op in _RULES[_gate(g, d, "path", "cycle")]:
         try:
             return op(g, d)
-        except _SKIPPABLE:
+        except NotApplicableError:
             continue
     raise NotApplicableError("no reduction applies to this distribution")
 
@@ -278,3 +267,8 @@ def _try_singleton(g: Graph, d: Distribution) -> SurgeryResult:
         raise NotApplicableError("no vertex carries exactly 1 pebble")
     return remove_singleton(g, d, v)
 
+
+# The rules try_reduce tries on each family, in order.
+_RULES = {"path": (_try_singleton, collapse_two_pebble_block_path),
+          "cycle": (_try_singleton, cycle_remove_202_or_220,
+                    cycle_reduce_big_pile)}

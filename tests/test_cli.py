@@ -1,5 +1,6 @@
 """Tests for the command-line interface: grammar, commands, output, exit codes."""
 
+import errno
 import json
 import os
 import re
@@ -727,8 +728,8 @@ def test_too_deeply_nested_product_exit_2(argv):
 
 def test_deeply_nested_product_error_is_one_short_line(tmp_path):
     # test_spec_order_too_long_for_int_exit_2 pins a 5,000-digit order
-    # exactly; a long --dist, a long integer flag and a long line of a
-    # file: edge list are quoted the same way
+    # exactly; a long --dist, a long integer flag, a long line of a
+    # file: edge list and a file: path the OS refuses are quoted the same way
     dist = "1," * 20000 + "x"
     numbers = " ".join(["1"] * 20000)
     (tmp_path / "header.edges").write_text(f"{numbers}\n")
@@ -740,6 +741,9 @@ def test_deeply_nested_product_error_is_one_short_line(tmp_path):
         (["fopt", f"file:{tmp_path / 'edge.edges'}"],
          f"error: line 3: expected 'u v', got near {numbers[:80]!r}"),
         (["fopt", _nested_product(5000)], "error: spec parse error at position "),
+        (["fopt", "file:" + "a" * 20000],
+         f"error: [Errno {errno.ENAMETOOLONG}] "
+         f"{os.strerror(errno.ENAMETOOLONG)}: near {'a' * 80!r}"),
         (["solvable", "path:3", "--dist", dist],
          f"error: distribution near {dist[-80:]!r} is not a comma-separated "
          "list of integers"),

@@ -5,9 +5,8 @@ import pytest
 from pebbletools import (
     Graph,
     SizeLimitError,
+    canonical_family,
     cartesian_product,
-    is_canonical_cycle,
-    is_canonical_path,
     load_edge_list,
     make_cycle,
     make_path,
@@ -113,19 +112,21 @@ def test_equality_reads_edges():
 # canonical family recognition
 
 
-def test_canonical_path_recognition():
-    assert is_canonical_path(make_path(1))
-    assert is_canonical_path(make_path(6))
-    assert not is_canonical_path(make_cycle(4))
-    # same path shape, scrambled labels
-    assert not is_canonical_path(Graph(3, [(0, 2), (2, 1)]))
-
-
-def test_canonical_cycle_recognition():
-    assert is_canonical_cycle(make_cycle(3))
-    assert is_canonical_cycle(make_cycle(7))
-    assert not is_canonical_cycle(make_path(4))
-    assert not is_canonical_cycle(Graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)]))
+@pytest.mark.parametrize("graph,family", [
+    (make_path(1), "path"),
+    (make_path(2), "path"),  # one edge: a path, never a cycle
+    (make_path(6), "path"),
+    (make_cycle(3), "cycle"),
+    (make_cycle(7), "cycle"),
+    # same shapes, scrambled labels
+    (Graph(3, [(0, 2), (2, 1)]), None),
+    (Graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)]), None),
+    (Graph(4, [(0, 1), (0, 2), (0, 3)]), None),  # star
+    (Graph(4, [(0, 1), (2, 3)]), None),  # disconnected
+], ids=["path:1", "path:2", "path:6", "cycle:3", "cycle:7", "scrambled-path",
+        "scrambled-cycle", "star", "disconnected"])
+def test_canonical_family(graph, family):
+    assert canonical_family(graph) == family
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,18 @@ def test_read_edge_list_out_of_range():
     ("3 4\n0 1\n", "line 1: expected the vertex count alone"),
     ("3\n0 x\n", "line 2: edge endpoints must be integers"),
     ("# only a comment\n\n", "empty edge-list document"),
+    # every number is ASCII digits, as typed numbers are
+    pytest.param("1_0\n0 1\n", "line 1: vertex count '1_0': expected an integer",
+                 id="count-underscore"),
+    pytest.param("\u0663\n0 1\n1 2\n",
+                 "line 1: vertex count '\u0663': expected an integer",
+                 id="count-arabic-indic"),
+    pytest.param("+3\n0 1\n1 2\n",
+                 r"line 1: vertex count '\+3': expected an integer", id="count-sign"),
+    pytest.param("3\n0 +1\n1 2\n", "line 2: edge endpoints must be integers",
+                 id="endpoint-sign"),
+    pytest.param("1" * 5000 + "\n0 1\n", "line 1: vertex count near '1{80}': "
+                 "integer of 5000 digits is too long", id="count-too-long"),
 ])
 def test_read_edge_list_malformed(text, message):
     with pytest.raises(ValueError, match=message):

@@ -12,6 +12,7 @@ from pebbletools import (
     Distribution,
     Graph,
     SizeLimitError,
+    canonical_family,
     cartesian_product,
     compositions_array,
     construct_optimal_cycle_distribution,
@@ -19,8 +20,6 @@ from pebbletools import (
     formula_fopt_cycle,
     formula_fopt_path,
     graham_optimal_check,
-    is_canonical_cycle,
-    is_canonical_path,
     is_cycle_canonical,
     is_path_canonical,
     is_solvable,
@@ -183,8 +182,9 @@ def test_orbit_masks_match_per_row_definitions():
             graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
     for g in graphs:
         images = _orbit_images(g)
-        per_row_canonical = (is_path_canonical if is_canonical_path(g)
-                             else is_cycle_canonical if is_canonical_cycle(g)
+        family = canonical_family(g)
+        per_row_canonical = (is_path_canonical if family == "path"
+                             else is_cycle_canonical if family == "cycle"
                              else None)
         assert (images is None) == (per_row_canonical is None)
         if images is None:

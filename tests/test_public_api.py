@@ -1,6 +1,6 @@
 """The package's public surface: the star-import list matches what the
-package exports, and the README's library and CLI examples run against
-it."""
+package exports, the README names each exported name, and the README's
+library and CLI examples run against it."""
 
 import re
 import shlex
@@ -22,6 +22,15 @@ def test_all_matches_the_public_names():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public <= set(pebbletools.__all__), public - set(pebbletools.__all__)
+
+
+def test_readme_names_every_exported_name():
+    """Each exported name appears in README.md inside a code span, so no
+    export goes undocumented."""
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    missing = set(pebbletools.__all__) - named - {"__version__"}
+    assert not missing, sorted(missing)
 
 
 def test_readme_library_example_runs():

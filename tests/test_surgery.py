@@ -13,9 +13,8 @@ import pytest
 
 from pebbletools import (
     Distribution,
+    Graph,
     NotApplicableError,
-    PreconditionError,
-    StructureError,
     cartesian_product,
     collapse_two_pebble_block_path,
     cycle_reduce_big_pile,
@@ -28,8 +27,6 @@ from pebbletools import (
     remove_singleton,
     try_reduce,
 )
-
-SKIPPABLE = (PreconditionError, NotApplicableError, StructureError)
 
 
 def solvable_distributions(g, max_size):
@@ -65,9 +62,9 @@ def test_singleton_cycle():
 
 
 def test_singleton_requires_exactly_one():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NotApplicableError):
         remove_singleton(make_path(3), Distribution((2, 2, 0)), 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NotApplicableError):
         remove_singleton(make_path(3), Distribution((2, 0, 0)), 1)
 
 
@@ -78,7 +75,7 @@ def test_singleton_rejects_vertex_out_of_range():
 
 
 def test_singleton_rejects_triangle():
-    with pytest.raises(StructureError):
+    with pytest.raises(NotApplicableError):
         remove_singleton(make_cycle(3), Distribution((1, 2, 2)), 0)
 
 
@@ -109,7 +106,7 @@ def test_singleton_requires_path_or_cycle():
         "window-cycle", "big-pile-cycle"])
 def test_every_rule_keeps_its_family_floor(rule, graph, counts, args,
                                            message):
-    with pytest.raises(StructureError) as info:
+    with pytest.raises(NotApplicableError) as info:
         rule(graph, Distribution(counts), *args)
     assert str(info.value) == message
 
@@ -147,7 +144,7 @@ def test_collapse_empty_predecessor_deletes_020_block():
 
 
 def test_collapse_rejects_singleton_pile():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NotApplicableError):
         collapse_two_pebble_block_path(make_path(3), Distribution((1, 0, 2)))
 
 
@@ -185,12 +182,12 @@ def test_cycle_window_not_applicable_for_wide_gaps():
 
 
 def test_cycle_window_requires_exactly_two_per_pile():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NotApplicableError):
         cycle_remove_202_or_220(make_cycle(5), Distribution((3, 0, 2, 0, 0)))
 
 
 def test_cycle_window_too_small_to_shrink():
-    with pytest.raises(StructureError):
+    with pytest.raises(NotApplicableError):
         cycle_remove_202_or_220(make_cycle(4), Distribution((2, 2, 0, 2)))
 
 
@@ -236,7 +233,7 @@ def test_big_pile_branch_c_all_occupied():
 
 
 def test_big_pile_triangle_structure_error():
-    with pytest.raises(StructureError):
+    with pytest.raises(NotApplicableError):
         cycle_reduce_big_pile(make_cycle(3), Distribution((3, 2, 2)))
 
 
@@ -267,8 +264,11 @@ def test_try_reduce_nothing_applies():
 
 def test_try_reduce_requires_path_or_cycle():
     grid = cartesian_product(make_path(2), make_path(3))
-    with pytest.raises(ValueError):
-        try_reduce(grid, Distribution((1,) * 6))
+    relabelled_path = Graph(3, [(0, 2), (2, 1)])
+    for g in (grid, relabelled_path):
+        with pytest.raises(ValueError) as info:
+            try_reduce(g, Distribution((1,) * g.n))
+        assert str(info.value) == "requires a canonically indexed path or cycle"
 
 
 @pytest.mark.parametrize("rule,graph,args", [
@@ -306,7 +306,7 @@ def test_size_accounting_matches_reported_net():
             for op, args in calls:
                 try:
                     res = op(g, d, *args)
-                except SKIPPABLE:
+                except NotApplicableError:
                     continue
                 net = res.pebbles_removed_net
                 assert d.size - res.dist_after.size == net
@@ -341,7 +341,7 @@ def test_singleton_removal_preserves_solvability():
                         continue
                     try:
                         res = remove_singleton(g, d, v)
-                    except SKIPPABLE:
+                    except NotApplicableError:
                         continue
                     if not is_solvable(res.graph_after, res.dist_after):
                         failures.append((n, d.counts, v))
@@ -356,7 +356,7 @@ def test_cycle_surgeries_preserve_solvability():
             for op in (cycle_remove_202_or_220, cycle_reduce_big_pile):
                 try:
                     res = op(g, d)
-                except SKIPPABLE:
+                except NotApplicableError:
                     continue
                 if not is_solvable(res.graph_after, res.dist_after):
                     failures.append((op.__name__, n, d.counts))
@@ -374,10 +374,9 @@ def test_collapse_preservation_exceptions_characterized():
         for d in solvable_distributions(g, 4):
             try:
                 res = collapse_two_pebble_block_path(g, d)
-            except StructureError:
-                refused.add((n, d.counts))
-                continue
-            except SKIPPABLE:
+            except NotApplicableError as exc:
+                if "a path needs at least 1" in str(exc):
+                    refused.add((n, d.counts))
                 continue
             if not is_solvable(res.graph_after, res.dist_after):
                 failures.add((n, d.counts))
@@ -393,7 +392,7 @@ def test_collapse_preserves_when_remaining_piles_cover():
         for d in solvable_distributions(g, 6):
             try:
                 res = collapse_two_pebble_block_path(g, d)
-            except SKIPPABLE:
+            except NotApplicableError:
                 continue
             after = res.dist_after
             ga = res.graph_after
