@@ -28,6 +28,21 @@ brute-force filters reuse both.
 
 from __future__ import annotations
 
+__all__ = [
+    "Distribution",
+    "MAX_ENGINE_PEBBLES",
+    "MAX_ENGINE_VERTICES",
+    "Move",
+    "MoveSequence",
+    "SolveReport",
+    "apply_move",
+    "is_reachable",
+    "is_solvable",
+    "max_pebbles_to",
+    "max_pebbles_to_path_greedy",
+    "replay",
+]
+
 import operator
 from dataclasses import dataclass
 from itertools import starmap

@@ -15,6 +15,13 @@ takes them from `invariants._orbit_images`).
 
 from __future__ import annotations
 
+__all__ = [
+    "compositions_array",
+    "is_cycle_canonical",
+    "is_path_canonical",
+    "iter_compositions",
+]
+
 from typing import Iterator
 
 import numpy as np

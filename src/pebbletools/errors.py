@@ -4,6 +4,15 @@ quote input text (`_quote`)."""
 
 from __future__ import annotations
 
+__all__ = [
+    "BudgetError",
+    "IllegalMoveError",
+    "NotApplicableError",
+    "PebblingError",
+    "ReplayError",
+    "SizeLimitError",
+]
+
 # The most characters of input text that an error message quotes.
 _QUOTE = 80
 

@@ -12,6 +12,17 @@ numbers.
 
 from __future__ import annotations
 
+__all__ = [
+    "Graph",
+    "MAX_PRODUCT_VERTICES",
+    "canonical_family",
+    "cartesian_product",
+    "load_edge_list",
+    "make_cycle",
+    "make_path",
+    "read_edge_list",
+]
+
 from collections import deque
 from typing import Callable, Iterable, Iterator
 

@@ -35,6 +35,22 @@ engine.
 
 from __future__ import annotations
 
+__all__ = [
+    "GrahamCheck",
+    "MAX_GRAHAM_PRODUCT_VERTICES",
+    "MAX_PEBBLING_VALUE",
+    "MAX_PEBBLING_VERTICES",
+    "NumberReport",
+    "construct_optimal_cycle_distribution",
+    "construct_optimal_path_distribution",
+    "formula_fopt_cycle",
+    "formula_fopt_path",
+    "graham_optimal_check",
+    "optimal_pebbling_number",
+    "pebbling_number",
+    "product_distribution",
+]
+
 import sys
 from dataclasses import dataclass
 
@@ -352,7 +368,9 @@ def optimal_pebbling_number(g: Graph, *,
     Searches sizes 1, 2, ... exhaustively, so the reported value is exact.
     Every connected graph satisfies f_opt <= ceil(2n/3) (Bunde, Chambers,
     Cranston, Milans and West, J. Graph Theory 2008), so the loop ends by
-    that size, and a BudgetError carries it as its upper_bound.
+    that size.  A search stopped by max_distributions, or by finding no
+    solvable distribution of size <= max_pebbles, raises BudgetError with
+    that size as its upper_bound and every row it examined.
     """
     scanner = _LayerScanner(g, max_vertices, max_distributions, True)
     try:
@@ -361,11 +379,12 @@ def optimal_pebbling_number(g: Graph, *,
             if row is not None:
                 return NumberReport("optimal_pebbling", k, Distribution(row),
                                     scanner.examined)
+        raise BudgetError(
+            f"no solvable distribution of size <= {max_pebbles} found",
+            lower_bound=max_pebbles + 1, examined=scanner.examined)
     except BudgetError as exc:
         exc.upper_bound = -(-2 * g.n // 3)
         raise
-    raise SizeLimitError(
-        f"no solvable distribution of size <= {max_pebbles} found")
 
 
 def pebbling_number(g: Graph, *,

@@ -25,6 +25,15 @@ family it started in.
 
 from __future__ import annotations
 
+__all__ = [
+    "SurgeryResult",
+    "collapse_two_pebble_block_path",
+    "cycle_reduce_big_pile",
+    "cycle_remove_202_or_220",
+    "remove_singleton",
+    "try_reduce",
+]
+
 from dataclasses import dataclass
 
 from .engine import Distribution, _check_length

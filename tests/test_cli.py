@@ -419,11 +419,27 @@ def test_graham_oversized_product_exit_3(capsys):
 
 
 def test_graham_pebble_cap_exit_3(capsys):
-    """--max-pebbles reaches graham's searches as it reaches fopt's."""
+    """--max-pebbles reaches graham's searches as it reaches fopt's.  A
+    search it stops still counts the rows it examined, and a graham row
+    names the search that stopped."""
     code, _, err = run(capsys, "graham", "path:3,path:3", "--max-pebbles", "2")
     assert code == 3 and "size <= 2" in err
-    code, _, _ = run(capsys, "fopt", "product(path:3,path:3)", "--max-pebbles", "2")
+    code, out, _ = run(capsys, "graham", "path:3,path:3", "--max-pebbles", "2",
+                       "--json")
+    doc = json.loads(out)
     assert code == 3
+    # both factor searches finish (9 rows each); the product's examines 54
+    assert doc["stats"]["distributions_examined"] == 72
+    assert doc["result"]["rows"][0]["error"] == (
+        "f_opt(G x H): no solvable distribution of size <= 2 found")
+    code, out, _ = run(capsys, "verify", "path", "--max-n", "4",
+                       "--max-pebbles", "2", "--json")
+    doc = json.loads(out)
+    # rows n=1..3 examine 15 in all; the stopped row n=4 examines 14
+    assert (code, doc["stats"]["distributions_examined"]) == (3, 29)
+    code, _, err = run(capsys, "fopt", "product(path:3,path:3)", "--max-pebbles", "2")
+    assert code == 3
+    assert err == "budget exceeded: no solvable distribution of size <= 2 found\n"
     code, _, _ = run(capsys, "graham", "path:3,path:3", "--max-pebbles", "4")
     assert code == 0
 

@@ -1,7 +1,10 @@
-"""The package's public surface: the star-import list matches what the
-package exports, the README names each exported name, and the README's
-library and CLI examples run against it."""
+"""The package's public surface: each module declares the names it
+defines in its own `__all__`, the package root exports exactly their
+union, the README names each exported name, and the README's library and
+CLI examples run against it."""
 
+import ast
+import importlib
 import re
 import shlex
 import types
@@ -13,6 +16,40 @@ import pebbletools
 from pebbletools.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
+MODULES = ("engine", "enumeration", "errors", "graphs", "invariants", "surgery")
+
+
+def _top_level_bindings(module) -> set[str]:
+    """Names a module binds at its top level by def, class or assignment."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_each_module_declares_what_it_defines():
+    """Each module's `__all__` is a list of distinct public names it
+    defines itself; no name is declared by two modules, and the package
+    exports their union and `__version__`, nothing else."""
+    owner = {}
+    for name in MODULES:
+        module = importlib.import_module(f"pebbletools.{name}")
+        declared = module.__all__
+        assert isinstance(declared, list), name
+        assert len(set(declared)) == len(declared), name
+        assert not [n for n in declared if n.startswith("_")], name
+        defined = _top_level_bindings(module)
+        assert set(declared) <= defined, (name, set(declared) - defined)
+        for n in declared:
+            assert n not in owner, (n, owner.get(n), name)
+            owner[n] = name
+            assert getattr(pebbletools, n) is getattr(module, n), n
+    assert sorted(pebbletools.__all__) == sorted([*owner, "__version__"])
 
 
 def test_all_matches_the_public_names():
