@@ -25,7 +25,8 @@ at most `errors._QUOTE` characters of a spec, a --dist, a number, a
 builds is parsed under the command's vertex cap, so a `path:`, `cycle:`,
 `file:` or `product(` spec over it is refused before it is built.
 `fopt --construct` builds no graph: it takes `path:N` or `cycle:N` and
-reads the order alone; an order over sys.maxsize is a size cap error.
+reads the order alone; an order over 10**6 is a size cap error, refused
+before its witness is built.
 Each family's closed forms are named once, in _CLOSED_FORMS, for
 `--construct` and `verify` alike.
 
@@ -48,7 +49,7 @@ import time
 from .engine import (MAX_ENGINE_PEBBLES, MAX_ENGINE_VERTICES, Distribution,
                      is_reachable, is_solvable)
 from .errors import (BudgetError, NotApplicableError, PebblingError,
-                     SizeLimitError, _quote, parse_natural)
+                     SizeLimitError, _check_cap, _quote, parse_natural)
 from .graphs import (
     MAX_PRODUCT_VERTICES,
     Graph,
@@ -122,8 +123,7 @@ class _SpecParser:
     def order(self) -> int:
         """The vertex count of a path: or cycle: spec, within the cap."""
         n = self.integer()
-        if self.max_vertices is not None and n > self.max_vertices:
-            raise SizeLimitError(f"{n} vertices exceeds cap {self.max_vertices}")
+        _check_cap(n, self.max_vertices)
         return n
 
     def spec(self) -> Graph:
@@ -246,16 +246,18 @@ _CLOSED_FORMS = {
     "path": (formula_fopt_path, construct_optimal_path_distribution),
     "cycle": (formula_fopt_cycle, construct_optimal_cycle_distribution),
 }
+# The largest order whose witness `fopt --construct` builds.
+_MAX_CONSTRUCT_VERTICES = 10**6
 
 
 def cmd_fopt(args: argparse.Namespace) -> int:
     if args.construct:
         # The closed form needs the order alone, so no graph is built.
-        parser = _SpecParser(args.spec.strip())
+        parser = _SpecParser(args.spec.strip(), _MAX_CONSTRUCT_VERTICES)
         family = next((f for f in _CLOSED_FORMS if parser.literal(f"{f}:")), None)
         if family is None:
             raise ValueError("--construct requires a path or cycle spec")
-        n = parser.integer()
+        n = parser.order()
         parser.end()
         value, witness = (form(n) for form in _CLOSED_FORMS[family])
         examined, note = 0, " (closed form)"
@@ -334,9 +336,11 @@ def _graham_row(args: argparse.Namespace, specs: tuple[str, str],
 
 def cmd_graham(args: argparse.Namespace) -> int:
     # Parse every pair and build its graphs before any search, so any bad
-    # spec, or a factor over the vertex cap, ends the run before a search
-    # starts.
+    # spec, a factor over the vertex cap or a disconnected factor ends the
+    # run before a search starts.
     pairs = [_SpecParser(p, args.caps["max_vertices"]).pair() for p in args.pairs]
+    if not all(g.is_connected() for _, graphs in pairs for g in graphs):
+        raise ValueError("graph is disconnected; no distribution is solvable")
     rows = [_graham_row(args, specs, graphs) for specs, graphs in pairs]
     all_hold = all(row["holds"] is True for row in rows)
     lines = []

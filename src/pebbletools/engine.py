@@ -47,8 +47,8 @@ import operator
 from dataclasses import dataclass
 from itertools import starmap
 
-from .errors import (BudgetError, IllegalMoveError, ReplayError,
-                     SizeLimitError, _quote, parse_natural)
+from .errors import (BudgetError, IllegalMoveError, ReplayError, _check_cap,
+                     _quote, parse_natural)
 from .graphs import Graph, canonical_family
 
 MAX_ENGINE_VERTICES = 20
@@ -184,10 +184,8 @@ def _check_engine_inputs(g: Graph, d: Distribution, max_vertices: int,
     _check_length(g, d)
     if not 0 <= target < g.n:
         raise ValueError(f"target {target} out of range for {g.n} vertices")
-    if g.n > max_vertices:
-        raise SizeLimitError(f"{g.n} vertices exceeds engine cap {max_vertices}")
-    if d.size > max_pebbles:
-        raise SizeLimitError(f"{d.size} pebbles exceeds engine cap {max_pebbles}")
+    _check_cap(g.n, max_vertices)
+    _check_cap(d.size, max_pebbles, "pebbles")
 
 
 def _weight_table(g: Graph) -> tuple:

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, the one rule for a number
-in input text (`parse_natural`), and the one rule by which error messages
-quote input text (`_quote`)."""
+in input text (`parse_natural`), the one rule by which error messages
+quote input text (`_quote`), and the one refusal of an input over a size
+cap (`_check_cap`)."""
 
 from __future__ import annotations
 
@@ -42,12 +43,20 @@ def _quote(text: str, pos: int = 0, whole: str = "") -> str:
     return f"near {text[lo:lo + _QUOTE]!r}"
 
 
+def _check_cap(count: int, cap: int | None, unit: str = "vertices") -> None:
+    """The one refusal of an input over a size cap, made before any work:
+    SizeLimitError when `cap` is not None and `count` exceeds it."""
+    if cap is not None and count > cap:
+        raise SizeLimitError(f"{count} {unit} exceeds cap {cap}")
+
+
 class PebblingError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
 class SizeLimitError(PebblingError):
-    """An input exceeds a configured size cap (vertices, pebbles, value)."""
+    """An input exceeds a configured size cap (vertices or pebbles); raised
+    only by `_check_cap`, before any work is done."""
 
 
 class IllegalMoveError(PebblingError):
@@ -73,7 +82,7 @@ class NotApplicableError(PebblingError):
 
 
 class BudgetError(PebblingError):
-    """A search exhausted its configured budget before finishing.
+    """A search stopped by its budget or its value cap before finishing.
 
     Attributes:
         lower_bound: best proven lower bound on the quantity being computed.

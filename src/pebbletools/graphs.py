@@ -26,7 +26,7 @@ __all__ = [
 from collections import deque
 from typing import Callable, Iterable, Iterator
 
-from .errors import SizeLimitError, _quote, parse_natural
+from .errors import _check_cap, _quote, parse_natural
 
 MAX_PRODUCT_VERTICES = 64
 
@@ -156,9 +156,7 @@ def cartesian_product(g: Graph, h: Graph, *,
     edge while the other stays fixed.  Vertex (a, b) gets index a*h.n + b.
     """
     n = g.n * h.n
-    if n > max_vertices:
-        raise SizeLimitError(
-            f"product would have {n} vertices, cap is {max_vertices}")
+    _check_cap(n, max_vertices)
     edges = []
     for a in range(g.n):
         base = a * h.n
@@ -212,8 +210,7 @@ def read_edge_list(text: str, max_vertices: int | None = None) -> Graph:
         edges.append((u, v))
     if n is None:
         raise ValueError("empty edge-list document: missing vertex count")
-    if max_vertices is not None and n > max_vertices:
-        raise SizeLimitError(f"{n} vertices exceeds cap {max_vertices}")
+    _check_cap(n, max_vertices)
     try:
         return Graph(n, edges)
     except ValueError as exc:

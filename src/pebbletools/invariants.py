@@ -73,7 +73,7 @@ from .enumeration import (  # noqa: F401
     is_cycle_canonical,
     is_path_canonical,
 )
-from .errors import BudgetError, SizeLimitError
+from .errors import BudgetError, _check_cap
 from .graphs import Graph, canonical_family, cartesian_product
 
 MAX_PEBBLING_VERTICES = 8
@@ -167,8 +167,7 @@ def construct_optimal_path_distribution(n: int) -> Distribution:
     two-pebble pile, so the distribution is solvable by a single move.
     An n over sys.maxsize, which no list can index, raises SizeLimitError.
     """
-    if n > sys.maxsize:
-        raise SizeLimitError(f"{n} vertices exceeds cap {sys.maxsize}")
+    _check_cap(n, sys.maxsize)
     _check_order(n)
     t, r = divmod(n, 3)
     counts = [0] * n
@@ -307,6 +306,9 @@ class _LayerScanner:
     A graph over `max_vertices` or disconnected is refused up front.  Rows
     are charged against the budget a whole chunk at a time, before the
     chunk is screened, so `examined` counts every row the search touched.
+    Every stop of either search is one `stop`: a BudgetError with the rows
+    examined, the lower bound proven so far and an upper bound that g's
+    order and diameter alone prove.
     One screen per search picks the rows worth visiting: the reject filter
     for a solvable row, the complement of the accept filter for an
     unsolvable one.  The search for a solvable row keeps only the orbit
@@ -317,8 +319,7 @@ class _LayerScanner:
 
     def __init__(self, g: Graph, max_vertices: int, budget: int | None,
                  solvable: bool):
-        if g.n > max_vertices:
-            raise SizeLimitError(f"{g.n} vertices exceeds cap {max_vertices}")
+        _check_cap(g.n, max_vertices)
         if not g.is_connected():
             raise ValueError("graph is disconnected; no distribution is solvable")
         self.g = g
@@ -327,6 +328,18 @@ class _LayerScanner:
         self.images = g.derived(_orbit_images) if solvable else None
         self.fold = _fold_verdict(g)
         self.examined = 0
+        # f_opt <= ceil(2n/3) (Bunde et al.).  pi <= (n - 1)(2^D - 1) + 1, D
+        # the largest depth: that many pebbles with an empty target put 2^D
+        # on some other vertex, which can move one pebble to the target.
+        depth = max(d for _, d in g.derived(_weight_table))
+        self.upper_bound = (-(-2 * g.n // 3) if solvable
+                            else (g.n - 1) * ((1 << depth) - 1) + 1)
+
+    def stop(self, message: str, lower_bound: int) -> BudgetError:
+        """The BudgetError that ends the search: `message`, the proven
+        `lower_bound`, the upper bound and the rows examined so far."""
+        return BudgetError(message, lower_bound=lower_bound,
+                           upper_bound=self.upper_bound, examined=self.examined)
 
     def first(self, k: int) -> tuple | None:
         """First row of size k whose verdict is `solvable`, or None.
@@ -341,8 +354,7 @@ class _LayerScanner:
             chunk = rows[start:start + _CHUNK]
             self.examined += chunk.shape[0]
             if self.budget is not None and self.examined > self.budget:
-                raise BudgetError(f"distribution budget {self.budget} exhausted",
-                                  lower_bound=k, examined=self.examined)
+                raise self.stop(f"distribution budget {self.budget} exhausted", k)
             picked = chunk[screen(chunk) == self.solvable]
             if self.images is not None:
                 picked = picked[_lex_minimal_mask(picked, self.images)]
@@ -373,18 +385,13 @@ def optimal_pebbling_number(g: Graph, *,
     that size as its upper_bound and every row it examined.
     """
     scanner = _LayerScanner(g, max_vertices, max_distributions, True)
-    try:
-        for k in range(1, max_pebbles + 1):
-            row = scanner.first(k)
-            if row is not None:
-                return NumberReport("optimal_pebbling", k, Distribution(row),
-                                    scanner.examined)
-        raise BudgetError(
-            f"no solvable distribution of size <= {max_pebbles} found",
-            lower_bound=max_pebbles + 1, examined=scanner.examined)
-    except BudgetError as exc:
-        exc.upper_bound = -(-2 * g.n // 3)
-        raise
+    for k in range(1, max_pebbles + 1):
+        row = scanner.first(k)
+        if row is not None:
+            return NumberReport("optimal_pebbling", k, Distribution(row),
+                                scanner.examined)
+    raise scanner.stop(f"no solvable distribution of size <= {max_pebbles} found",
+                       max_pebbles + 1)
 
 
 def pebbling_number(g: Graph, *,
@@ -395,7 +402,11 @@ def pebbling_number(g: Graph, *,
 
     Solvability is monotone under adding pebbles, so the first size whose
     layer contains no unsolvable distribution is the answer; the witness is
-    the last unsolvable distribution seen, of size value - 1.
+    the last unsolvable distribution seen, of size value - 1.  A search
+    stopped by max_distributions, or by an unsolvable row in every layer
+    up to max_value, raises BudgetError with every row it examined, the
+    lower bound it proved and the upper bound (n - 1)(2^D - 1) + 1, D the
+    diameter.
     """
     scanner = _LayerScanner(g, max_vertices, max_distributions, False)
     witness = Distribution((0,) * g.n)
@@ -404,7 +415,7 @@ def pebbling_number(g: Graph, *,
         if row is None:
             return NumberReport("pebbling", size, witness, scanner.examined)
         witness = Distribution(row)
-    raise SizeLimitError(f"pebbling number exceeds cap {max_value}")
+    raise scanner.stop(f"pebbling number exceeds cap {max_value}", max_value + 1)
 
 
 # ---------------------------------------------------------------------------

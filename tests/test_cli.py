@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pebbletools.cli import main, parse_graph_spec
+from pebbletools.cli import _CLOSED_FORMS, main, parse_graph_spec
 from pebbletools import (
     Distribution,
     Move,
@@ -212,8 +212,24 @@ def test_fopt_construct_bad_order_exit_2(capsys, spec, message):
 def test_fopt_construct_order_no_list_can_index_exit_3(capsys, family):
     code, out, err = run(capsys, "fopt", f"{family}:{10**19}", "--construct")
     assert (code, out) == (3, "")
-    assert err == (f"size cap exceeded: {10**19} vertices exceeds cap "
-                   f"{sys.maxsize}\n")
+    assert err == f"size cap exceeded: {10**19} vertices exceeds cap 1000000\n"
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_fopt_construct_refuses_an_order_over_its_cap(capsys, monkeypatch,
+                                                      family):
+    # a witness of 10^10 counts would take about 80 GB; one over 10^6 is
+    # refused before the list is built
+    def refuse(n):
+        raise AssertionError("--construct built a witness over its cap")
+
+    # path's closed form is held by _CLOSED_FORMS; cycle's calls path's
+    monkeypatch.setitem(_CLOSED_FORMS, "path", (formula_fopt_path, refuse))
+    monkeypatch.setattr("pebbletools.invariants.construct_optimal_path_distribution",
+                        refuse)
+    code, out, err = run(capsys, "fopt", f"{family}:1000001", "--construct")
+    assert (code, out) == (3, "")
+    assert err == "size cap exceeded: 1000001 vertices exceeds cap 1000000\n"
 
 
 def test_fopt_usage_error_exit_2(capsys):
@@ -239,6 +255,7 @@ def test_fopt_cap_exit_3(capsys):
     (["graham", "path:2,path:2", "file:{big},path:2"], 100000000, 16),
     (["reduce", "path:100000000", "--dist", "1"], 100000000, 20),
     (["reduce", "file:{big}", "--dist", "1"], 100000000, 20),
+    (["fopt", "product(path:5,path:5)"], 25, 20),
 ])
 def test_oversized_spec_refused_before_it_is_built(capsys, tmp_path, argv, size,
                                                    cap):
@@ -251,14 +268,17 @@ def test_oversized_spec_refused_before_it_is_built(capsys, tmp_path, argv, size,
 
 
 @pytest.mark.parametrize("argv,err", [
-    (["fopt", "product(path:5,path:5)"],
-     "size cap exceeded: product would have 25 vertices, cap is 20\n"),
     (["fopt", "product(path:9,path:9)", "--max-vertices", "100",
       "--budget-states", "1"],
      "budget exceeded: distribution budget 1 exhausted\n"),
-], ids=["default-cap", "raised-cap"])
+], ids=["raised-cap"])
 def test_product_spec_obeys_the_vertex_cap(capsys, argv, err):
     assert run(capsys, *argv) == (3, "", err)
+
+
+def test_solvable_pebble_cap_exit_3(capsys):
+    assert run(capsys, "solvable", "path:2", "--dist", "70,0") == (
+        3, "", "size cap exceeded: 70 pebbles exceeds cap 64\n")
 
 
 def test_fopt_budget_exit_3(capsys):
@@ -406,11 +426,22 @@ def test_graham_pair_follows_the_spec_grammar(capsys, tmp_path):
     assert row["fopt_product"] == json.loads(out)["result"]["value"] == 3
 
 
-def test_graham_builds_every_pair_before_any_search(capsys):
+def test_graham_builds_every_pair_before_any_search(capsys, monkeypatch,
+                                                    tmp_path):
+    calls = []
+    monkeypatch.setattr("pebbletools.cli.graham_optimal_check",
+                        lambda *args, **kwargs: calls.append(args))
     code, out, err = run(capsys, "graham", "path:2,path:2",
                          "product(cycle:9,cycle:9),path:2", "--json")
     assert (code, out) == (3, "")
-    assert "product would have 81 vertices" in err
+    assert "81 vertices exceeds cap 16" in err
+    # a disconnected factor is refused before the earlier pairs' searches
+    disc = tmp_path / "disc.edges"
+    disc.write_text("3\n0 1\n")
+    code, out, err = run(capsys, "graham", "path:3,path:3",
+                         f"file:{disc},path:2", "--json")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: graph is disconnected; no distribution is solvable\n"
 
 
 def test_graham_oversized_product_exit_3(capsys):

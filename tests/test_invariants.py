@@ -468,8 +468,9 @@ def test_optimal_number_budget_mid_layer_path_12():
 
 
 def test_optimal_number_pinned_star_70():
-    # more than 64 vertices: the scanner builds the accept filter's masks
-    # as Python integers, and the fold decides the star's rows
+    # more than 64 vertices: the reject filter screens the star's rows and
+    # the fold decides them (the accept filter, whose masks are Python
+    # integers past 64 vertices, serves only pebbling_number's scan)
     report = optimal_pebbling_number(STAR_70, max_vertices=70)
     assert (report.value, report.distributions_examined) == (2, 2555)
     assert is_solvable(STAR_70, report.witness, max_vertices=70)
@@ -572,10 +573,13 @@ def test_pebbling_number_trivial_graph():
 
 
 def test_pebbling_number_value_cap():
-    # pi(P3) = 4
-    with pytest.raises(SizeLimitError) as info:
+    # pi(P3) = 4: every layer up to the cap held an unsolvable row, so the
+    # stop proves pi >= 4; the upper bound is (3 - 1)(2^2 - 1) + 1 = 7
+    with pytest.raises(BudgetError) as info:
         pebbling_number(make_path(3), max_value=3)
     assert str(info.value) == "pebbling number exceeds cap 3"
+    assert (info.value.lower_bound, info.value.upper_bound,
+            info.value.examined) == (4, 7, 19)
 
 
 def test_pebbling_number_vertex_cap():

@@ -8,6 +8,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from pebbletools import (
+    BudgetError,
     Graph,
     cartesian_product,
     make_cycle,
@@ -180,3 +181,32 @@ def test_diameter_bounds(g):
     d = max(max(g.distances_from(v)) for v in range(g.n))
     value = _pi(g)
     assert max(g.n, 2 ** d) <= value <= (g.n - 1) * (2 ** d - 1) + 1
+
+
+_NONTRIVIAL = [g for g in _GRAPHS if g.n > 1]  # π >= n, and π(K1) = 1
+
+
+@pytest.mark.parametrize("g", _NONTRIVIAL,
+                         ids=[f"n{g.n}-{list(g.edges())}" for g in _NONTRIVIAL])
+def test_value_cap_stop_carries_both_bounds(g):
+    """Capped one below π, the search stops with a BudgetError whose
+    interval holds π: every layer up to the cap held an unsolvable row, so
+    its lower bound is π itself, and its upper bound is the diameter
+    bound above."""
+    d = max(max(g.distances_from(v)) for v in range(g.n))
+    value = _pi(g)
+    with pytest.raises(BudgetError) as info:
+        pebbling_number(g, max_value=value - 1)
+    stop = info.value
+    assert stop.lower_bound == value <= stop.upper_bound
+    assert stop.upper_bound == (g.n - 1) * (2 ** d - 1) + 1
+    assert stop.examined > 0
+
+
+def test_budget_stop_carries_the_same_upper_bound():
+    """A stop by max_distributions carries the same upper bound as one by
+    the value cap: on C5 (π = 5, diameter 2) that is 4 · 3 + 1 = 13."""
+    with pytest.raises(BudgetError) as info:
+        pebbling_number(make_cycle(5), max_distributions=30)
+    assert (info.value.lower_bound, info.value.upper_bound,
+            info.value.examined) == (3, 13, 55)

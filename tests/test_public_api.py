@@ -52,6 +52,40 @@ def test_each_module_declares_what_it_defines():
     assert sorted(pebbletools.__all__) == sorted([*owner, "__version__"])
 
 
+def _callers(name: str) -> set[str]:
+    """`module.qualname` of each top-level function, or method of a
+    top-level class, in src/pebbletools whose body calls `name(...)`,
+    nested functions included; `module.<module>` for a call elsewhere."""
+    found = set()
+    for path in sorted(Path(pebbletools.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{node.name}"
+                           if isinstance(node, ast.FunctionDef) else top.name,
+                           node) for node in top.body]
+            elif isinstance(top, ast.FunctionDef):
+                scopes = [(top.name, top)]
+            else:
+                scopes = [("<module>", top)]
+            for qualname, node in scopes:
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and name in (
+                            getattr(call.func, "id", None),
+                            getattr(call.func, "attr", None)):
+                        found.add(f"{path.stem}.{qualname}")
+    return found
+
+
+def test_one_cap_refusal_and_one_search_stop():
+    """A SizeLimitError means "refused before any work": only
+    `errors._check_cap` builds one.  A search that has started stops with
+    a BudgetError built in one of two places: the layer scanner's `stop`,
+    which gives it both bounds, and the engine's reachability search."""
+    assert _callers("SizeLimitError") == {"errors._check_cap"}
+    assert _callers("BudgetError") == {"invariants._LayerScanner.stop",
+                                       "engine._reach"}
+
+
 def test_all_matches_the_public_names():
     for name in pebbletools.__all__:
         assert hasattr(pebbletools, name), name
