@@ -7,10 +7,9 @@ all searches report the first witness under this order, which pins down
 every output byte-for-byte.
 
 The orbit representatives of the path's reversal and of the cycle's
-rotations and reflections are tested per row (`is_path_canonical`,
-`is_cycle_canonical`); `_lex_minimal_mask` tests a whole array of rows at
-once against any list of column permutations (the brute-force search
-takes them from `invariants._orbit_images`).
+rotations and reflections are tested one row at a time
+(`is_path_canonical`, `is_cycle_canonical`); the brute-force search asks
+them of the rows that pass its exact verdict.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ __all__ = [
 from typing import Iterator
 
 import numpy as np
+
+from .errors import _check_cap
 
 
 def iter_compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -49,11 +50,13 @@ def iter_compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
 
 
 def compositions_array(total: int, length: int) -> np.ndarray:
-    """All compositions as an int16 array, rows in colexicographic order."""
+    """All compositions as an int16 array, rows in colexicographic order.
+    A total over the int16 range raises SizeLimitError."""
     if length < 1:
         raise ValueError("length must be at least 1")
     if total < 0:
         raise ValueError("total must be non-negative")
+    _check_cap(total, np.iinfo(np.int16).max, "pebbles")
     level = [np.array([[j]], dtype=np.int16) for j in range(total + 1)]
     for _ in range(2, length):
         level = [_append_last(level, j) for j in range(total + 1)]
@@ -88,23 +91,4 @@ def is_cycle_canonical(counts: tuple[int, ...]) -> bool:
         if doubled[s:s + n] < counts:
             return False
     return True
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a < b in lexicographic order: the first nonzero of a - b."""
-    diff = a - b
-    first = (diff != 0).argmax(axis=1)
-    return diff[np.arange(diff.shape[0]), first] < 0
-
-
-def _lex_minimal_mask(rows: np.ndarray, images) -> np.ndarray:
-    """Rows that no column permutation in `images` makes lexicographically
-    smaller; each comparison runs only on the rows still in the running."""
-    alive = np.arange(rows.shape[0])
-    for perm in images:
-        cur = rows[alive]
-        alive = alive[~_lex_less(cur[:, perm], cur)]
-    mask = np.zeros(rows.shape[0], dtype=bool)
-    mask[alive] = True
-    return mask
 

@@ -27,10 +27,10 @@ of the component of G - t at each neighbour of t, a whole chunk at a time;
 the test suite holds it to the engine's search); on every other graph the
 engine's `is_solvable`, one row at a time.
 
-On the canonically indexed path and cycle `_orbit_images` gives the
-column permutations whose lexicographic test keeps only orbit
-representatives.  On trees and cycles no distribution reaches the
-engine.
+On the canonically indexed path and cycle the search for a solvable row
+then keeps only orbit representatives, tested one row at a time after
+the verdict (`is_path_canonical`, `is_cycle_canonical`).  On trees and
+cycles no distribution reaches the engine.
 """
 
 from __future__ import annotations
@@ -65,14 +65,7 @@ from .engine import (
     _weight_table,
     is_solvable,
 )
-# is_path_canonical / is_cycle_canonical are unused here, but perfbench/spans.py
-# patches them as attributes of this module, so they stay imported.
-from .enumeration import (  # noqa: F401
-    _lex_minimal_mask,
-    compositions_array,
-    is_cycle_canonical,
-    is_path_canonical,
-)
+from .enumeration import compositions_array, is_cycle_canonical, is_path_canonical
 from .errors import BudgetError, _check_cap
 from .graphs import Graph, canonical_family, cartesian_product
 
@@ -270,35 +263,6 @@ def _fold_verdict(g: Graph):
     return solvable_rows
 
 
-def _orbit_images(g: Graph):
-    """Column permutations whose `_lex_minimal_mask` keeps one row per
-    orbit of g's automorphisms, chosen from its edges, or None.
-
-    Only the canonically indexed path and cycle have a known automorphism
-    group whose orbits the search can skip; every other graph, however
-    it is labelled, is searched unfiltered.  The path needs its mirror.
-
-    On the cycle, with rho^s(r)_i = r_{i+s} and mu_j(r)_i = r_{j-i}
-    (indices mod n), a row meets only the 2n - 4 images K = rho^2..rho^{n-2},
-    mu_0..mu_{n-2}; a row at most every image in K is at most rho^1,
-    rho^{n-1} and mu_{n-1} too.  (1) r_0 = a is r's least entry: an r_i < a
-    puts rho^i (2 <= i <= n - 2) or mu_1 (i = 1) below r, and if only
-    r_{n-1} < a, mu_0(r) = (a, r_{n-1}, ...) is below r at 1.  (2) Unless r
-    is constant (and equal to all its images), let r_0..r_{p-1} = a and
-    r_p > a.  Were r_{n-1} = a, mu_{p-1}(r) would be a on 0..p, below r at
-    p; so r_{n-1} > a.  (3) So rho^{n-1}(r) and mu_{n-1}(r) start above
-    r_0, and rho^1(r) has r_p > a at p - 1: all three are above r.
-    """
-    ring = np.arange(g.n)
-    family = canonical_family(g)
-    if family == "path":
-        return [ring[::-1]]
-    if family == "cycle":
-        return ([np.roll(ring, -s) for s in range(2, g.n - 1)]
-                + [np.roll(ring[::-1], -s) for s in range(1, g.n)])
-    return None
-
-
 class _LayerScanner:
     """Scans size-k layers of a graph's distributions in colex order for
     the first row whose verdict is `solvable`.
@@ -311,10 +275,11 @@ class _LayerScanner:
     order and diameter alone prove.
     One screen per search picks the rows worth visiting: the reject filter
     for a solvable row, the complement of the accept filter for an
-    unsolvable one.  The search for a solvable row keeps only the orbit
-    representatives of `_orbit_images`.  One exact verdict then decides
-    each visited row: the fold on trees and cycles, a whole chunk at a
-    time; elsewhere the engine, one row at a time.
+    unsolvable one.  One exact verdict then decides each visited row: the
+    fold on trees and cycles, a whole chunk at a time; elsewhere the
+    engine, one row at a time.  On the canonically indexed path and cycle
+    the search for a solvable row also asks `canonical`, the family's
+    per-row orbit test, of each row in turn; elsewhere `canonical` is None.
     """
 
     def __init__(self, g: Graph, max_vertices: int, budget: int | None,
@@ -325,7 +290,9 @@ class _LayerScanner:
         self.g = g
         self.budget = budget
         self.solvable = solvable
-        self.images = g.derived(_orbit_images) if solvable else None
+        # read as module globals here, so that a patched predicate is seen
+        self.canonical = ({"path": is_path_canonical, "cycle": is_cycle_canonical}
+                          .get(canonical_family(g)) if solvable else None)
         self.fold = _fold_verdict(g)
         self.examined = 0
         # f_opt <= ceil(2n/3) (Bunde et al.).  pi <= (n - 1)(2^D - 1) + 1, D
@@ -344,7 +311,7 @@ class _LayerScanner:
     def first(self, k: int) -> tuple | None:
         """First row of size k whose verdict is `solvable`, or None.
 
-        With orbit images only orbit representatives count; their orbit
+        With `canonical` only orbit representatives count; their orbit
         mates are covered by their representative elsewhere in the layer.
         """
         # A solvable row reaches every target; an unsolvable one is not covered.
@@ -356,17 +323,15 @@ class _LayerScanner:
             if self.budget is not None and self.examined > self.budget:
                 raise self.stop(f"distribution budget {self.budget} exhausted", k)
             picked = chunk[screen(chunk) == self.solvable]
-            if self.images is not None:
-                picked = picked[_lex_minimal_mask(picked, self.images)]
             if self.fold is not None:
-                hits = np.flatnonzero(self.fold(picked) == self.solvable)
-                if hits.size:
-                    return tuple(picked[hits[0]].tolist())
-                continue
+                picked = picked[self.fold(picked) == self.solvable]
             for array in picked:
                 row = tuple(array.tolist())
-                if is_solvable(self.g, Distribution(row), max_vertices=self.g.n,
-                               max_pebbles=k) == self.solvable:
+                if ((self.canonical is None or self.canonical(row))
+                        and (self.fold is not None
+                             or is_solvable(self.g, Distribution(row),
+                                            max_vertices=self.g.n,
+                                            max_pebbles=k) == self.solvable)):
                     return row
         return None
 

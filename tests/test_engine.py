@@ -10,7 +10,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pebbletools import (
     BudgetError,
@@ -80,6 +79,17 @@ def naive_max_to(g, counts, target):
                 child[u] += 1
                 stack.append(tuple(child))
     return best
+
+
+def small_cases(families, orders, most, total):
+    """Every (graph, counts) on the named families and orders whose counts
+    are at most `most` each and at most `total` in all."""
+    for family in families:
+        for n in orders:
+            g = make_path(n) if family == "path" else make_cycle(n)
+            for counts in itertools.product(range(most + 1), repeat=n):
+                if sum(counts) <= total:
+                    yield g, counts
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +294,17 @@ def test_reachability_deep_witness_does_not_recurse():
     assert replay(g, d, report.witness)[0] == 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_reachability_matches_naive_reference(data):
-    """Property: engine verdict equals the unpruned BFS on small instances."""
-    family = data.draw(st.sampled_from(["path", "cycle"]))
-    n = data.draw(st.integers(min_value=3, max_value=6))
-    g = make_path(n) if family == "path" else make_cycle(n)
-    counts = tuple(data.draw(
-        st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n,
-                 ).filter(lambda c: sum(c) <= 8)))
-    target = data.draw(st.integers(min_value=0, max_value=n - 1))
-    report = is_reachable(g, Distribution(counts), target)
-    assert report.verdict == naive_reachable(g, counts, target)
-    if report.verdict and report.witness:
-        final = replay(g, Distribution(counts), report.witness)
-        assert final[target] >= 1
+def test_reachability_matches_naive_reference():
+    """The engine's verdict equals the unpruned BFS on every path and cycle
+    with 3 <= n <= 6, at most 4 pebbles a vertex and 8 in all, and every
+    witness replays onto its target."""
+    for g, counts in small_cases(("path", "cycle"), range(3, 7), 4, 8):
+        for target in range(g.n):
+            report = is_reachable(g, Distribution(counts), target)
+            assert report.verdict == naive_reachable(g, counts, target)
+            if report.verdict and report.witness:
+                final = replay(g, Distribution(counts), report.witness)
+                assert final[target] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +330,12 @@ def test_solvable_cover_fast_path_scales():
                        max_vertices=n)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_solvable_matches_per_target_reachability(data):
-    n = data.draw(st.integers(min_value=2, max_value=5))
-    g = make_path(n)
-    counts = tuple(data.draw(
-        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n,
-                 ).filter(lambda c: sum(c) <= 7)))
-    d = Distribution(counts)
-    expected = all(naive_reachable(g, counts, t) for t in range(n))
-    assert is_solvable(g, d) == expected
+def test_solvable_matches_per_target_reachability():
+    """`is_solvable` equals naive reachability of every target on every
+    path with 2 <= n <= 5, at most 3 pebbles a vertex and 7 in all."""
+    for g, counts in small_cases(("path",), range(2, 6), 3, 7):
+        expected = all(naive_reachable(g, counts, t) for t in range(g.n))
+        assert is_solvable(g, Distribution(counts)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -370,32 +370,13 @@ def test_greedy_requires_canonical_path():
         max_pebbles_to_path_greedy(make_cycle(4), Distribution((2, 0, 0, 0)), 1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_greedy_equals_generic_transport(data):
-    n = data.draw(st.integers(min_value=1, max_value=6))
-    g = make_path(n)
-    counts = tuple(data.draw(
-        st.lists(st.integers(min_value=0, max_value=5), min_size=n, max_size=n,
-                 ).filter(lambda c: sum(c) <= 8)))
-    target = data.draw(st.integers(min_value=0, max_value=n - 1))
-    d = Distribution(counts)
-    assert (max_pebbles_to_path_greedy(g, d, target)
-            == max_pebbles_to(g, d, target))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_generic_transport_matches_naive_reference(data):
-    family = data.draw(st.sampled_from(["path", "cycle"]))
-    n = data.draw(st.integers(min_value=3, max_value=5))
-    g = make_path(n) if family == "path" else make_cycle(n)
-    counts = tuple(data.draw(
-        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n,
-                 ).filter(lambda c: sum(c) <= 6)))
-    target = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert (max_pebbles_to(g, Distribution(counts), target)
-            == naive_max_to(g, counts, target))
+def test_generic_transport_matches_naive_reference():
+    """`max_pebbles_to` equals the exhaustive search on every path and cycle
+    with 3 <= n <= 5, at most 3 pebbles a vertex and 6 in all."""
+    for g, counts in small_cases(("path", "cycle"), range(3, 6), 3, 6):
+        for target in range(g.n):
+            assert (max_pebbles_to(g, Distribution(counts), target)
+                    == naive_max_to(g, counts, target))
 
 
 def test_transport_dominance_adding_pebbles():

@@ -32,11 +32,10 @@ from pebbletools import (
 )
 from pebbletools import optimal_pebbling_number as _optimal_pebbling_number
 from pebbletools.engine import _fold, _fold_schedule
-from pebbletools.enumeration import _lex_minimal_mask
 from pebbletools.invariants import (
     _cover_filter,
     _fold_verdict,
-    _orbit_images,
+    _LayerScanner,
     _potential_filter,
 )
 
@@ -92,6 +91,14 @@ def test_compositions_reject_bad_arguments(compositions, total, length, message)
     with pytest.raises(ValueError) as info:
         compositions(total, length)
     assert str(info.value) == message
+
+
+def test_compositions_array_refuses_totals_past_int16():
+    for total, length in ((32768, 1), (40000, 3)):
+        with pytest.raises(SizeLimitError) as info:
+            compositions_array(total, length)
+        assert str(info.value) == f"{total} pebbles exceeds cap 32767"
+    assert compositions_array(32767, 2).shape == (32768, 2)
 
 
 def test_compositions_of_long_rows_do_not_recurse():
@@ -169,30 +176,24 @@ def test_reject_filter_depth_cap_only_adds_rows():
     assert sum(kept) == 106
 
 
-def test_orbit_masks_match_per_row_definitions():
-    """The lexicographic mask of a graph's orbit images keeps exactly the
-    rows the per-row predicate calls canonical, on every row with at most 7
-    pebbles and n <= 11; the cycle has 2n - 4 images, the predicate
-    compares all 2n.  A graph gets images iff it is the canonically
-    indexed path or cycle."""
+def test_orbit_test_follows_structure():
+    """The search for a solvable row takes its per-row orbit test from the
+    graph's structure, for n <= 11: the path's predicate exactly on the
+    canonically indexed path, the cycle's exactly on the canonically
+    indexed cycle, and none on a relabelled copy that is neither (all but
+    the n = 1, 2 paths and the 3-cycle) or in the search for an unsolvable
+    row."""
+    predicates = {"path": is_path_canonical, "cycle": is_cycle_canonical}
     graphs = []
     for n in range(1, 12):
         graphs += [make_path(n), _relabelled(make_path(n), n)]
         if n >= 3:
             graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
+    assert sum(canonical_family(g) is None for g in graphs) == 17
     for g in graphs:
-        images = _orbit_images(g)
-        family = canonical_family(g)
-        per_row_canonical = (is_path_canonical if family == "path"
-                             else is_cycle_canonical if family == "cycle"
-                             else None)
-        assert (images is None) == (per_row_canonical is None)
-        if images is None:
-            continue
-        for k in range(8):
-            rows = compositions_array(k, g.n)
-            assert _lex_minimal_mask(rows, images).tolist() \
-                == [per_row_canonical(row) for row in map(tuple, rows.tolist())]
+        assert (_LayerScanner(g, 20, None, True).canonical
+                is predicates.get(canonical_family(g)))
+        assert _LayerScanner(g, 20, None, False).canonical is None
 
 
 def _digits(rows):
@@ -388,6 +389,62 @@ def test_optimal_number_frozen_witnesses():
     assert optimal_pebbling_number(make_path(6)).witness.counts == (0, 2, 0, 0, 2, 0)
 
 
+# (family, n, value, witness, distributions examined) of f_opt on path:1..14
+# and cycle:3..14; the screen, the verdict and the orbit test must keep them
+PINNED_REPORTS = [
+    ("path", 1, 1, "1", 1),
+    ("path", 2, 2, "1,1", 5),
+    ("path", 3, 2, "0,2,0", 9),
+    ("path", 4, 3, "0,1,2,0", 34),
+    ("path", 5, 4, "0,0,4,0,0", 125),
+    ("path", 6, 4, "0,2,0,0,2,0", 209),
+    ("path", 7, 5, "0,1,2,0,0,2,0", 791),
+    ("path", 8, 6, "0,1,2,0,0,2,1,0", 3002),
+    ("path", 9, 6, "0,2,0,0,2,0,0,2,0", 5004),
+    ("path", 10, 7, "0,1,2,0,0,2,0,0,2,0", 19447),
+    ("path", 11, 8, "0,1,2,0,0,2,0,0,2,1,0", 75581),
+    ("path", 12, 8, "0,2,0,0,2,0,0,2,0,0,2,0", 115923),
+    ("path", 13, 9, "0,1,2,0,0,2,0,0,2,0,0,2,0", 400097),
+    ("path", 14, 10, "0,1,2,0,0,2,0,0,2,0,0,2,1,0", 1341477),
+    ("cycle", 3, 2, "0,0,2", 9),
+    ("cycle", 4, 3, "0,1,0,2", 34),
+    ("cycle", 5, 4, "0,0,1,2,1", 125),
+    ("cycle", 6, 4, "0,0,2,0,0,2", 209),
+    ("cycle", 7, 5, "0,0,1,2,0,0,2", 791),
+    ("cycle", 8, 6, "0,0,1,2,0,0,2,1", 3002),
+    ("cycle", 9, 6, "0,0,2,0,0,2,0,0,2", 5004),
+    ("cycle", 10, 7, "0,0,1,2,0,0,2,0,0,2", 19447),
+    ("cycle", 11, 8, "0,0,1,2,0,0,2,0,0,2,1", 75581),
+    ("cycle", 12, 8, "0,0,2,0,0,2,0,0,2,0,0,2", 125969),
+    ("cycle", 13, 9, "0,0,1,2,0,0,2,0,0,2,0,0,2", 465633),
+    ("cycle", 14, 10, "0,0,1,2,0,0,2,0,0,2,0,0,2,1", 1734693),
+]
+
+
+@pytest.mark.parametrize("family,n,value,witness,examined", PINNED_REPORTS,
+                         ids=[f"{f}:{n}" for f, n, *_ in PINNED_REPORTS])
+def test_optimal_number_pinned_reports(family, n, value, witness, examined):
+    g = make_path(n) if family == "path" else make_cycle(n)
+    report = optimal_pebbling_number(g)
+    assert (report.value, report.witness.format(),
+            report.distributions_examined) == (value, witness, examined)
+
+
+def test_optimal_number_asks_the_cycle_orbit_test(monkeypatch):
+    """The search reads the orbit predicate from `invariants` when it starts,
+    so a wrapper put there sees every call."""
+    expected = optimal_pebbling_number(make_cycle(8))
+    calls = []
+
+    def counting(counts):
+        calls.append(counts)
+        return is_cycle_canonical(counts)
+
+    monkeypatch.setattr("pebbletools.invariants.is_cycle_canonical", counting)
+    assert optimal_pebbling_number(make_cycle(8)) == expected
+    assert calls
+
+
 def test_optimal_number_deterministic():
     a = optimal_pebbling_number(make_cycle(7))
     b = optimal_pebbling_number(make_cycle(7))
@@ -415,7 +472,7 @@ def test_optimal_number_ignores_misleading_label():
     # a star with a path's vertex and edge counts, which a label once could
     # have called "path:3", must not be searched with path symmetry
     star = Graph(3, [(0, 1), (0, 2)])
-    assert _orbit_images(star) is None
+    assert _LayerScanner(star, 20, None, True).canonical is None
     report = optimal_pebbling_number(star)
     assert report.value == 2
     assert is_solvable(star, report.witness)
