@@ -554,7 +554,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        bounds = ("" if exc.lower_bound is None and exc.upper_bound is None else
+                  f" (lower bound {exc.lower_bound}, upper bound "
+                  f"{exc.upper_bound}, {exc.examined} examined)")
+        print(f"budget exceeded: {exc}{bounds}", file=sys.stderr)
         return EXIT_BUDGET
     except SizeLimitError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)

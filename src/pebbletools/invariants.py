@@ -20,12 +20,15 @@ and screen them a whole chunk at a time, one vectorized screen per search:
   reachable on its own, so the distribution is solvable (one bitmask OR
   per vertex).
 
-A screen only picks the rows worth visiting.  One exact verdict decides
-each visited row: on trees and cycles, where G - t is a forest for every
-t, the engine's leaf-to-root transport fold (one column operation per edge
-of the component of G - t at each neighbour of t, a whole chunk at a time;
-the test suite holds it to the engine's search); on every other graph the
-engine's `is_solvable`, one row at a time.
+A screen only picks the rows worth visiting.  The engine's leaf-to-root
+transport fold (one column operation per edge of the BFS tree of G - t at
+each neighbour of t, a whole chunk at a time) then reads every visited
+row.  On trees and cycles, where G - t is a forest for every t, it is the
+exact verdict (the test suite holds it to the engine's search).  On every
+other graph it is sound only as an accept: the search for an unsolvable
+row drops the rows it accepts, and the engine's `is_solvable` decides the
+rest one row at a time; the search for a solvable row skips the fold there
+and asks the engine of every visited row.
 
 On the canonically indexed path and cycle the search for a solvable row
 then keeps only orbit representatives, tested one row at a time after
@@ -239,16 +242,17 @@ def _cover_filter(g: Graph, k: int):
 
 
 def _fold_verdict(g: Graph):
-    """Exact solvability of whole chunks of rows, for the connected graphs
-    on which G - t is a forest for every t: trees (n - 1 edges) and cycles
-    (every degree 2), read from the edges.  Returns a function from a
-    chunk to its solvable mask, or None for every other graph.  A row is
-    solvable iff `engine._fold` (lemma and proof there) is at least 1 at
-    every target; rows leave after the first target they miss.
+    """The fold's solvable mask of whole chunks of rows of a connected
+    graph: a function from a chunk to the mask of rows in which
+    `engine._fold` (lemma and proof there) is at least 1 at every target;
+    rows leave after the first target they miss.
+
+    A row inside the mask is solvable on every connected graph: m(u), the
+    fold of u's BFS tree in G - t, is a number of pebbles that moves inside
+    that tree put on u, so a term of at least 1 moves a pebble to t.  On
+    trees and cycles, where G - t is a forest for every t, the mask is
+    exact: a row outside it is unsolvable.
     """
-    if not g.is_connected() or (
-            g.edge_count != g.n - 1 and any(g.degree(v) != 2 for v in range(g.n))):
-        return None
     schedule = g.derived(_fold_schedule)
 
     def solvable_rows(chunk: np.ndarray) -> np.ndarray:
@@ -275,11 +279,14 @@ class _LayerScanner:
     order and diameter alone prove.
     One screen per search picks the rows worth visiting: the reject filter
     for a solvable row, the complement of the accept filter for an
-    unsolvable one.  One exact verdict then decides each visited row: the
-    fold on trees and cycles, a whole chunk at a time; elsewhere the
-    engine, one row at a time.  On the canonically indexed path and cycle
-    the search for a solvable row also asks `canonical`, the family's
-    per-row orbit test, of each row in turn; elsewhere `canonical` is None.
+    unsolvable one.  One exact verdict then decides each visited row: on
+    trees and cycles (`exact`) the fold, a whole chunk at a time;
+    elsewhere the engine, one row at a time.  There the search for an
+    unsolvable row first drops the rows the fold accepts, which are
+    solvable; the search for a solvable row builds no fold.  On the
+    canonically indexed path and cycle the search for a solvable row also
+    asks `canonical`, the family's per-row orbit test, of each row in
+    turn; elsewhere `canonical` is None.
     """
 
     def __init__(self, g: Graph, max_vertices: int, budget: int | None,
@@ -293,7 +300,10 @@ class _LayerScanner:
         # read as module globals here, so that a patched predicate is seen
         self.canonical = ({"path": is_path_canonical, "cycle": is_cycle_canonical}
                           .get(canonical_family(g)) if solvable else None)
-        self.fold = _fold_verdict(g)
+        # Trees and cycles, where the fold is exact; elsewhere it only accepts.
+        self.exact = (g.edge_count == g.n - 1
+                      or all(g.degree(v) == 2 for v in range(g.n)))
+        self.fold = _fold_verdict(g) if self.exact or not solvable else None
         self.examined = 0
         # f_opt <= ceil(2n/3) (Bunde et al.).  pi <= (n - 1)(2^D - 1) + 1, D
         # the largest depth: that many pebbles with an empty target put 2^D
@@ -313,6 +323,9 @@ class _LayerScanner:
 
         With `canonical` only orbit representatives count; their orbit
         mates are covered by their representative elsewhere in the layer.
+        The fold is the verdict on trees and cycles and, elsewhere, the
+        accept of the search for an unsolvable row: it drops only solvable
+        rows, so the first unsolvable row in colex order is the same row.
         """
         # A solvable row reaches every target; an unsolvable one is not covered.
         screen = (_potential_filter if self.solvable else _cover_filter)(self.g, k)
@@ -328,7 +341,7 @@ class _LayerScanner:
             for array in picked:
                 row = tuple(array.tolist())
                 if ((self.canonical is None or self.canonical(row))
-                        and (self.fold is not None
+                        and (self.exact
                              or is_solvable(self.g, Distribution(row),
                                             max_vertices=self.g.n,
                                             max_pebbles=k) == self.solvable)):

@@ -1,6 +1,7 @@
 """Every committed BENCH_*.json is readable evidence: parent and change
 runs of all three perfbench workloads, with the versions they ran on and
-the engine counters of a traced fopt-sweep run."""
+the engine counters of a traced fopt-sweep run, compared with the BENCH
+file before it."""
 
 import json
 from pathlib import Path
@@ -32,3 +33,19 @@ def test_bench_file_names_workloads_versions_and_counters(path):
         assert traced, f"no traced fopt-sweep run for {side}"
         for r in traced:
             assert TRACED_COUNTERS <= set(r["result"]["metrics"])
+
+
+def _number(path: Path) -> int:
+    return int(path.stem.removeprefix("BENCH_"))
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_file_names_an_earlier_previous(path):
+    """`previous` names an existing BENCH file of a lower number; only the
+    first BENCH file has none."""
+    previous = json.loads(path.read_text())["previous"]
+    if previous is None:
+        assert path == min(BENCH_FILES, key=_number)
+    else:
+        assert (ROOT / previous) in BENCH_FILES
+        assert _number(ROOT / previous) < _number(path)

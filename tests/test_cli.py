@@ -270,7 +270,8 @@ def test_oversized_spec_refused_before_it_is_built(capsys, tmp_path, argv, size,
 @pytest.mark.parametrize("argv,err", [
     (["fopt", "product(path:9,path:9)", "--max-vertices", "100",
       "--budget-states", "1"],
-     "budget exceeded: distribution budget 1 exhausted\n"),
+     "budget exceeded: distribution budget 1 exhausted "
+     "(lower bound 1, upper bound 54, 81 examined)\n"),
 ], ids=["raised-cap"])
 def test_product_spec_obeys_the_vertex_cap(capsys, argv, err):
     assert run(capsys, *argv) == (3, "", err)
@@ -470,7 +471,8 @@ def test_graham_pebble_cap_exit_3(capsys):
     assert (code, doc["stats"]["distributions_examined"]) == (3, 29)
     code, _, err = run(capsys, "fopt", "product(path:3,path:3)", "--max-pebbles", "2")
     assert code == 3
-    assert err == "budget exceeded: no solvable distribution of size <= 2 found\n"
+    assert err == ("budget exceeded: no solvable distribution of size <= 2 found "
+                   "(lower bound 3, upper bound 6, 54 examined)\n")
     code, _, _ = run(capsys, "graham", "path:3,path:3", "--max-pebbles", "4")
     assert code == 0
 

@@ -271,9 +271,19 @@ def test_fold_verdict_matches_engine(g, canonical):
     cartesian_product(make_path(2), make_path(3)),
     Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
     Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
-], ids=["grid_2x3", "triangle_with_pendant", "k4"])
-def test_fold_declines_where_some_g_minus_t_has_a_cycle(g):
-    assert _fold_verdict(g) is None
+    cartesian_product(make_cycle(4), make_path(2)),
+], ids=["grid_2x3", "triangle_with_pendant", "k4", "c4_x_p2"])
+def test_fold_only_accepts_where_some_g_minus_t_has_a_cycle(g):
+    """Where some G - t has a cycle the fold is not exact, and the search
+    for a solvable row builds none; but every row with at most 7 pebbles
+    that the fold accepts is solvable by `is_solvable`."""
+    assert not _LayerScanner(g, g.n, None, False).exact
+    assert _LayerScanner(g, g.n, None, True).fold is None
+    accepts = _fold_verdict(g)
+    for k in range(8):
+        rows = compositions_array(k, g.n)
+        for row in rows[accepts(rows)].tolist():
+            assert is_solvable(g, Distribution(row)), row
 
 
 def _fold_graphs(trees_only=False):
@@ -592,10 +602,54 @@ def test_pebbling_number_pinned_path_6():
 
 
 def test_pebbling_number_pinned_grid_2x3():
-    # not a tree or a cycle: the engine decides every visited row
+    # not a tree or a cycle: the engine decides the rows the fold leaves
     report = pebbling_number(cartesian_product(make_path(2), make_path(3)))
     assert (report.value, report.witness.format(), report.distributions_examined) \
         == (8, "7,0,0,0,0,0", 3002)
+
+
+# (graph, pi, witness, rows examined), captured before the fold accepted
+# rows on graphs other than trees and cycles (the 2 x 3 grid is pinned
+# above); the accept drops only solvable rows, so none of them may move
+PINNED_PI_REPORTS = [
+    ("c3_x_p2", cartesian_product(make_cycle(3), make_path(2)),
+     6, "1,1,1,1,1,0", 923),
+    ("c4_x_p2", cartesian_product(make_cycle(4), make_path(2)),
+     8, "7,0,0,0,0,0,0,0", 12869),
+    ("grid_2x4", cartesian_product(make_path(2), make_path(4)),
+     16, "15,0,0,0,0,0,0,0", 567734),
+    ("k4", Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+     4, "1,1,1,0", 69),
+    ("triangle_with_pendant", Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+     5, "3,1,0,0", 125),
+]
+
+
+@pytest.mark.parametrize("g,value,witness,examined",
+                         [case[1:] for case in PINNED_PI_REPORTS],
+                         ids=[case[0] for case in PINNED_PI_REPORTS])
+def test_pebbling_number_pinned_reports(g, value, witness, examined):
+    report = pebbling_number(g)
+    assert (report.value, report.witness.format(),
+            report.distributions_examined) == (value, witness, examined)
+
+
+def test_pebbling_number_asks_the_engine_past_the_fold(monkeypatch):
+    """On the 2 x 3 grid the engine decides only the rows that neither the
+    cover screen nor the fold accepts: a counting wrapper on
+    `invariants.is_solvable` sees at most 9 calls (the cover screen alone
+    leaves 267), and the report does not change."""
+    g = cartesian_product(make_path(2), make_path(3))
+    expected = pebbling_number(g)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return is_solvable(*args, **kwargs)
+
+    monkeypatch.setattr("pebbletools.invariants.is_solvable", counting)
+    assert pebbling_number(g) == expected
+    assert len(calls) <= 9
 
 
 @pytest.mark.parametrize("g", [
@@ -605,11 +659,11 @@ def test_pebbling_number_pinned_grid_2x3():
     _relabelled(cartesian_product(make_path(2), make_path(3)), 7),
 ], ids=["k4", "triangle_with_pendant", "grid_2x3", "grid_2x3_relabelled"])
 def test_searches_match_row_by_row_reference(g):
-    """Both searches on graphs without a fold or orbit images equal a scan
-    that asks `is_solvable` of every row in colex order: the f_opt witness
-    is the first solvable row of the first layer that has one, the pi
-    witness the first unsolvable row of layer pi - 1, and layer pi has no
-    unsolvable row."""
+    """Both searches on graphs without an exact fold or an orbit test equal
+    a scan that asks `is_solvable` of every row in colex order: the f_opt
+    witness is the first solvable row of the first layer that has one, the
+    pi witness the first unsolvable row of layer pi - 1, and layer pi has
+    no unsolvable row."""
     def rows(k):
         return [Distribution(row) for row in iter_compositions(k, g.n)]
 

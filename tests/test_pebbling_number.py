@@ -42,6 +42,13 @@ def test_grids(b):
     assert _pi(cartesian_product(make_path(2), make_path(b))) == 2 ** b
 
 
+def test_grid_3x3():
+    """π(P3 × P3) = 2^(3+3−2) = 16 (Chung 1989), with the vertex cap
+    raised to its 9 vertices."""
+    g = cartesian_product(make_path(3), make_path(3), max_vertices=9)
+    assert pebbling_number(g, max_vertices=9).value == 16
+
+
 # ---------------------------------------------------------------------------
 # trees
 
