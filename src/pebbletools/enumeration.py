@@ -6,6 +6,13 @@ generator and the vectorized array builder produce identical orders, and
 all searches report the first witness under this order, which pins down
 every output byte-for-byte.
 
+The array builder steps from one total to the next.  In colex order the
+layer of total k is the row (k, 0, ..., 0) followed, for m = 1 .. n - 1,
+by the rows whose highest occupied index is m; those are the first
+C(k - 1 + m, m) rows of layer k - 1 with one pebble added at m.  So a
+layer costs 2(n - 1) slice operations on the one before it, which a
+caller that walks the layers in turn passes back in as `previous`.
+
 The orbit representatives of the path's reversal and of the cycle's
 rotations and reflections are tested one row at a time
 (`is_path_canonical`, `is_cycle_canonical`); the brute-force search asks
@@ -21,6 +28,7 @@ __all__ = [
     "iter_compositions",
 ]
 
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -49,27 +57,48 @@ def iter_compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
         low = 0 if v > 1 else low + 1
 
 
-def compositions_array(total: int, length: int) -> np.ndarray:
+def compositions_array(total: int, length: int,
+                       previous: np.ndarray | None = None) -> np.ndarray:
     """All compositions as an int16 array, rows in colexicographic order.
-    A total over the int16 range raises SizeLimitError."""
+    A total over the int16 range raises SizeLimitError.
+
+    Built layer by layer from total 0 (`_next_layer`).  `previous`, if
+    given, must be compositions_array(total - 1, length); the call is then
+    one step.  Its shape, dtype and first row are checked, its other rows
+    are not, so anything else raises ValueError or yields wrong rows."""
     if length < 1:
         raise ValueError("length must be at least 1")
     if total < 0:
         raise ValueError("total must be non-negative")
     _check_cap(total, np.iinfo(np.int16).max, "pebbles")
-    level = [np.array([[j]], dtype=np.int16) for j in range(total + 1)]
-    for _ in range(2, length):
-        level = [_append_last(level, j) for j in range(total + 1)]
-    return level[total] if length == 1 else _append_last(level, total)
+    if previous is None:
+        rows = np.zeros((1, length), dtype=np.int16)
+        for k in range(1, total + 1):
+            rows = _next_layer(rows, k)
+        return rows
+    if not (total >= 1 and isinstance(previous, np.ndarray)
+            and previous.dtype == np.int16
+            and previous.shape == (comb(total + length - 2, length - 1), length)
+            and previous[0, 0] == total - 1 and not previous[0, 1:].any()):
+        raise ValueError("previous must be compositions_array(total - 1, length)")
+    return _next_layer(previous, total)
 
 
-def _append_last(level: list[np.ndarray], total: int) -> np.ndarray:
-    """Rows of length m + 1 summing to total, from level[j] (length m, sum j)."""
-    heads = [level[total - last] for last in range(total + 1)]
-    sizes = [h.shape[0] for h in heads]
-    out = np.empty((sum(sizes), heads[0].shape[1] + 1), dtype=np.int16)
-    np.concatenate(heads, out=out[:, :-1])
-    out[:, -1] = np.repeat(np.arange(total + 1, dtype=np.int16), sizes)
+def _next_layer(previous: np.ndarray, total: int) -> np.ndarray:
+    """Layer `total` from layer total - 1 (`previous`) by the recurrence in
+    the module docstring.  The rows a block takes from `previous` are zero
+    past m, so each block is one copy of whole rows and one column add."""
+    length = previous.shape[1]
+    out = np.empty((comb(total + length - 1, length - 1), length), dtype=np.int16)
+    out[0] = 0
+    out[0, 0] = total
+    start = 1
+    for m in range(1, length):
+        size = comb(total - 1 + m, m)
+        block = out[start:start + size]
+        block[...] = previous[:size]
+        block[:, m] += 1
+        start += size
     return out
 
 

@@ -7,8 +7,10 @@ builders rest on the decomposition n = 3t + r; the brute-force searches
 every distribution.  The test suite holds the two routes against each
 other.
 
-The brute-force searches enumerate distributions in colexicographic order
-and screen them a whole chunk at a time, one vectorized screen per search:
+The brute-force searches enumerate distributions in colexicographic order,
+one size-k layer at a time, each layer built from the one before it
+(`compositions_array` with `previous`), and screen them a whole chunk at a
+time, one vectorized screen per search:
 
 * reject (the search for a solvable row, `optimal_pebbling_number`): a
   vertex whose weighted potential sum(c_v * 2^-dist) falls below 1 can
@@ -198,10 +200,9 @@ def _potential_filter(g: Graph, k: int):
     (k * 2^D < 2^52, so every search at the default caps) it is the exact
     test itself.
     """
-    table = g.derived(_weight_table)
-    cap = min(max(d for _, d in table), 52 - k.bit_length())
-    weights = np.array([[w and max(w << cap >> d, 1) for w in row]
-                        for row, d in table], dtype=np.float64)
+    depth = max(d for _, d in g.derived(_weight_table))
+    cap = min(depth, 52 - k.bit_length())
+    weights = g.derived(_capped_weights, cap)
     threshold = float(1 << cap)
 
     def reaches_all(chunk: np.ndarray) -> np.ndarray:
@@ -209,6 +210,14 @@ def _potential_filter(g: Graph, k: int):
         return (potentials >= threshold).all(axis=1)
 
     return reaches_all
+
+
+def _capped_weights(g: Graph, cap: int) -> np.ndarray:
+    """The weight matrix of `_potential_filter` at depth cap `cap`: the
+    engine's weight of v toward t rescaled to 2^(cap - dist(v, t)), at
+    least 1 where v reaches t, 0 where it does not."""
+    return np.array([[w and max(w << cap >> d, 1) for w in row]
+                     for row, d in g.derived(_weight_table)], dtype=np.float64)
 
 
 def _cover_filter(g: Graph, k: int):
@@ -258,6 +267,8 @@ def _fold_verdict(g: Graph):
     def solvable_rows(chunk: np.ndarray) -> np.ndarray:
         alive, cols = np.arange(chunk.shape[0]), chunk.T
         for t in range(g.n):
+            if not alive.size:
+                break
             reached = _fold(cols, t, schedule) > 0
             alive, cols = alive[reached], cols[:, reached]
         solvable = np.zeros(chunk.shape[0], dtype=bool)
@@ -305,6 +316,8 @@ class _LayerScanner:
                       or all(g.degree(v) == 2 for v in range(g.n)))
         self.fold = _fold_verdict(g) if self.exact or not solvable else None
         self.examined = 0
+        # The last layer built; `first` builds the next one from it.
+        self.layer = None
         # f_opt <= ceil(2n/3) (Bunde et al.).  pi <= (n - 1)(2^D - 1) + 1, D
         # the largest depth: that many pebbles with an empty target put 2^D
         # on some other vertex, which can move one pebble to the target.
@@ -326,10 +339,12 @@ class _LayerScanner:
         The fold is the verdict on trees and cycles and, elsewhere, the
         accept of the search for an unsolvable row: it drops only solvable
         rows, so the first unsolvable row in colex order is the same row.
+        Calls take k = 1, 2, ... in turn: each builds its layer from the
+        one before it, kept in `layer`.
         """
         # A solvable row reaches every target; an unsolvable one is not covered.
         screen = (_potential_filter if self.solvable else _cover_filter)(self.g, k)
-        rows = compositions_array(k, self.g.n)
+        rows = self.layer = compositions_array(k, self.g.n, self.layer)
         for start in range(0, rows.shape[0], _CHUNK):
             chunk = rows[start:start + _CHUNK]
             self.examined += chunk.shape[0]

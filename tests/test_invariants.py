@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -67,12 +68,40 @@ def test_compositions_colex_order():
 
 
 def test_compositions_array_matches_iterator():
+    """Built from total 0, and in one step from the layer before it."""
     for total in range(9):
         for length in range(1, 9):
-            rows = compositions_array(total, length)
-            assert rows.dtype == np.int16
-            assert [tuple(r) for r in rows.tolist()] \
-                == list(iter_compositions(total, length))
+            built = [compositions_array(total, length)]
+            if total:
+                previous = compositions_array(total - 1, length)
+                built.append(compositions_array(total, length, previous))
+            for rows in built:
+                assert rows.dtype == np.int16
+                assert [tuple(r) for r in rows.tolist()] \
+                    == list(iter_compositions(total, length))
+
+
+def test_compositions_array_refuses_a_wrong_previous():
+    """A `previous` that is not layer total - 1 by its shape, dtype or first
+    row is refused.  The last one has the right shape, C(1004, 4) (about
+    4 * 10^10) rows with no memory behind them, and a first row of the
+    wrong layer: the check reads that row alone, not every row."""
+    right = compositions_array(3, 4)
+    wrong = [
+        (4, 4, right[:-1]),
+        (5, 4, right),
+        (4, 4, right.astype(np.int32)),
+        (4, 4, right[::-1].copy()),
+        (4, 4, right.tolist()),
+        (0, 4, compositions_array(0, 4)),
+        (1001, 5, np.broadcast_to(np.array([0, 0, 0, 0, 1000], dtype=np.int16),
+                                  (comb(1004, 4), 5))),
+    ]
+    for total, length, previous in wrong:
+        with pytest.raises(ValueError) as info:
+            compositions_array(total, length, previous)
+        assert str(info.value) \
+            == "previous must be compositions_array(total - 1, length)"
 
 
 def test_composition_counts():
@@ -453,6 +482,31 @@ def test_optimal_number_asks_the_cycle_orbit_test(monkeypatch):
     monkeypatch.setattr("pebbletools.invariants.is_cycle_canonical", counting)
     assert optimal_pebbling_number(make_cycle(8)) == expected
     assert calls
+
+
+@pytest.mark.parametrize("search,g,value", [
+    (optimal_pebbling_number, make_path(9), 6),
+    (pebbling_number, make_cycle(5), 5),
+], ids=["fopt-path:9", "pi-cycle:5"])
+def test_scanner_builds_each_layer_from_the_last(monkeypatch, search, g, value):
+    """Both searches make one `compositions_array` call per layer, through
+    `invariants`, and every call after the first passes the layer the call
+    before it returned."""
+    expected = search(g)
+    calls, built = [], []
+
+    def recording(total, length, previous=None):
+        calls.append((total, length, previous))
+        built.append(compositions_array(total, length, previous))
+        return built[-1]
+
+    monkeypatch.setattr("pebbletools.invariants.compositions_array", recording)
+    assert search(g) == expected
+    assert expected.value == value
+    assert [(total, length) for total, length, _ in calls] \
+        == [(k, g.n) for k in range(1, value + 1)]
+    assert calls[0][2] is None
+    assert all(previous is built[i] for i, (*_, previous) in enumerate(calls[1:]))
 
 
 def test_optimal_number_deterministic():
