@@ -28,7 +28,11 @@ builds is parsed under the command's vertex cap, so a `path:`, `cycle:`,
 reads the order alone; an order over 10**6 is a size cap error, refused
 before its witness is built.
 Each family's closed forms are named once, in _CLOSED_FORMS, for
-`--construct` and `verify` alike.
+`--construct` and `verify` alike.  Each rule on a query's path has one
+place: `_SpecParser.family` is the one reader of a `path:` or `cycle:`
+prefix, for a spec and for `--construct`; `_row` is the one place where
+a sweep's search stopped by a budget or a cap becomes a row with its
+`examined` and `error`.
 
 Exit codes: 0 success/holds, 1 verification failure or unreachable,
 2 usage or parse error, 3 budget or size cap exceeded, 4 no surgery
@@ -126,11 +130,15 @@ class _SpecParser:
         _check_cap(n, self.max_vertices)
         return n
 
+    def family(self) -> str | None:
+        """Read a `path:` or `cycle:` prefix and return its family; None,
+        with nothing read, before any other text."""
+        return next((f for f in _CLOSED_FORMS if self.literal(f"{f}:")), None)
+
     def spec(self) -> Graph:
-        if self.literal("path:"):
-            return make_path(self.order())
-        if self.literal("cycle:"):
-            return make_cycle(self.order())
+        family = self.family()
+        if family is not None:
+            return (make_path if family == "path" else make_cycle)(self.order())
         if self.literal("product("):
             try:
                 left = self.spec()
@@ -190,11 +198,12 @@ def parse_graph_spec(s: str, max_vertices: int | None = None) -> Graph:
 # shared plumbing
 
 
-def _emit(args: argparse.Namespace, command: str, inputs: dict, result: dict,
+def _emit(args: argparse.Namespace, inputs: dict, result: dict,
           human_lines: list[str], *, states: int = 0, examined: int = 0) -> None:
-    """Print the report as JSON or as human_lines; every command ends here.
-    --timing reports the time since `main` stamped args.started."""
-    payload = {"command": command, "inputs": inputs, "result": result,
+    """Print the report of args.command as JSON or as human_lines; every
+    command ends here.  --timing reports the time since `main` stamped
+    args.started."""
+    payload = {"command": args.command, "inputs": inputs, "result": result,
                "stats": {"states_explored": states,
                          "distributions_examined": examined}}
     if args.timing:
@@ -209,29 +218,37 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict, result: dict,
         print(f"elapsed_ms: {payload['stats']['elapsed_ms']}")
 
 
-def _csv_out(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if cell is None else
-                         (str(cell).lower() if isinstance(cell, bool) else cell)
-                         for cell in row])
+def _row(row: dict, search) -> dict:
+    """A sweep row: `row` updated by `search()`, which returns the
+    report's fields and its `examined`.  The one place where a search
+    stopped by BudgetError or SizeLimitError becomes a row: its fields
+    stay as `row` has them, and `examined` and `error` come from the
+    exception."""
+    try:
+        return {**row, **search(), "error": None}
+    except (BudgetError, SizeLimitError) as exc:
+        return {**row, "examined": getattr(exc, "examined", 0), "error": str(exc)}
 
 
-def _table(args: argparse.Namespace, command: str, inputs: dict,
-           header: list[str], rows: list[dict], name: str, summary: str,
-           ok: bool, human_lines: list[str]) -> int:
-    """Report a sweep's rows and return its exit code; name formats a row
-    for its stderr error line, summary is the result key holding ok."""
+def _table(args: argparse.Namespace, inputs: dict, header: list[str],
+           rows: list[dict], name: str, summary: str, ok: bool,
+           human_lines: list[str]) -> int:
+    """Report a sweep's rows as CSV or through `_emit`, and return its exit
+    code; name formats a row for its stderr error line, summary is the
+    result key holding ok."""
     for row in rows:
         if row["error"] is not None:
             print(f"{name.format(**row)}: {row['error']}", file=sys.stderr)
     if args.csv:
-        _csv_out(header, [[r[k] for k in header] for r in rows])
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            ["" if c is None else str(c).lower() if isinstance(c, bool) else c
+             for c in (r[k] for k in header)] for r in rows)
     else:
         result = {"rows": [{k: r[k] for k in header + ["error"]} for r in rows],
                   summary: ok}
-        _emit(args, command, inputs, result, human_lines,
+        _emit(args, inputs, result, human_lines,
               examined=sum(r["examined"] for r in rows))
     if any(row["error"] is not None for row in rows):
         return EXIT_BUDGET
@@ -254,7 +271,7 @@ def cmd_fopt(args: argparse.Namespace) -> int:
     if args.construct:
         # The closed form needs the order alone, so no graph is built.
         parser = _SpecParser(args.spec.strip(), _MAX_CONSTRUCT_VERTICES)
-        family = next((f for f in _CLOSED_FORMS if parser.literal(f"{f}:")), None)
+        family = parser.family()
         if family is None:
             raise ValueError("--construct requires a path or cycle spec")
         n = parser.order()
@@ -267,7 +284,7 @@ def cmd_fopt(args: argparse.Namespace) -> int:
                                          **args.caps)
         value, witness = report.value, report.witness
         examined, note = report.distributions_examined, ""
-    _emit(args, "fopt", {"spec": args.spec, "construct": args.construct},
+    _emit(args, {"spec": args.spec, "construct": args.construct},
           {"value": value, "witness": list(witness.counts)},
           [f"f_opt({args.spec}) = {value}{note}",
            f"witness: {witness.format()}"], examined=examined)
@@ -280,17 +297,16 @@ def cmd_fopt(args: argparse.Namespace) -> int:
 
 def _verify_row(args: argparse.Namespace, n: int) -> dict:
     formula = _CLOSED_FORMS[args.family][0](n)
-    try:
+
+    def search():
         g = parse_graph_spec(f"{args.family}:{n}", args.caps["max_vertices"])
         report = optimal_pebbling_number(g, max_distributions=args.budget_states,
                                          **args.caps)
-    except (BudgetError, SizeLimitError) as exc:
-        return {"n": n, "formula": formula, "brute_force": None,
-                "match": False, "examined": getattr(exc, "examined", 0),
-                "error": str(exc)}
-    return {"n": n, "formula": formula, "brute_force": report.value,
-            "match": report.value == formula,
-            "examined": report.distributions_examined, "error": None}
+        return {"brute_force": report.value, "match": report.value == formula,
+                "examined": report.distributions_examined}
+
+    return _row({"n": n, "formula": formula, "brute_force": None,
+                 "match": False}, search)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -306,32 +322,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(f"{r['n']:>4} {r['formula']:>8} {brute:>6} "
                      f"{str(r['match']).lower()}")
     lines.append(f"all rows match: {str(all_match).lower()}")
-    return _table(args, "verify",
-                  {"family": args.family, "max_n": args.max_n},
+    return _table(args, {"family": args.family, "max_n": args.max_n},
                   ["n", "formula", "brute_force", "match"], rows, "n={n}",
                   "all_match", all_match, lines)
 
 
 # ---------------------------------------------------------------------------
 # graham
-
-
-def _graham_row(args: argparse.Namespace, specs: tuple[str, str],
-                graphs: tuple[Graph, Graph]) -> dict:
-    base = {"g": specs[0], "h": specs[1], "fopt_g": None, "fopt_h": None,
-            "fopt_product": None, "bound": None, "holds": None,
-            "tight": None, "examined": 0, "error": None}
-    try:
-        check = graham_optimal_check(*graphs, max_distributions=args.budget_states,
-                                     **args.caps)
-    except (BudgetError, SizeLimitError) as exc:
-        base.update(examined=getattr(exc, "examined", 0), error=str(exc))
-        return base
-    base.update(fopt_g=check.fopt_g, fopt_h=check.fopt_h,
-                fopt_product=check.fopt_product, bound=check.bound,
-                holds=check.holds, tight=check.tight,
-                examined=check.distributions_examined)
-    return base
 
 
 def cmd_graham(args: argparse.Namespace) -> int:
@@ -341,7 +338,17 @@ def cmd_graham(args: argparse.Namespace) -> int:
     pairs = [_SpecParser(p, args.caps["max_vertices"]).pair() for p in args.pairs]
     if not all(g.is_connected() for _, graphs in pairs for g in graphs):
         raise ValueError("graph is disconnected; no distribution is solvable")
-    rows = [_graham_row(args, specs, graphs) for specs, graphs in pairs]
+    # The report fields of a row, and the CSV header after g and h.
+    fields = ["fopt_g", "fopt_h", "fopt_product", "bound", "holds", "tight"]
+
+    def search(graphs):
+        check = graham_optimal_check(*graphs, max_distributions=args.budget_states,
+                                     **args.caps)
+        return {**{f: getattr(check, f) for f in fields},
+                "examined": check.distributions_examined}
+
+    rows = [_row({"g": g, "h": h, **dict.fromkeys(fields)},
+                 functools.partial(search, graphs)) for (g, h), graphs in pairs]
     all_hold = all(row["holds"] is True for row in rows)
     lines = []
     for r in rows:
@@ -354,10 +361,8 @@ def cmd_graham(args: argparse.Namespace) -> int:
             f"{r['g']} x {r['h']}: f_opt = {r['fopt_product']} {rel} "
             f"{r['fopt_g']}*{r['fopt_h']} = {r['bound']} -> {verdict}")
     lines.append(f"all pairs hold: {str(all_hold).lower()}")
-    return _table(args, "graham",
-                  {"pairs": [list(specs) for specs, _ in pairs]},
-                  ["g", "h", "fopt_g", "fopt_h", "fopt_product", "bound",
-                   "holds", "tight"], rows, "{g} x {h}", "all_hold", all_hold,
+    return _table(args, {"pairs": [list(specs) for specs, _ in pairs]},
+                  ["g", "h", *fields], rows, "{g} x {h}", "all_hold", all_hold,
                   lines)
 
 
@@ -387,8 +392,7 @@ def cmd_solvable(args: argparse.Namespace) -> int:
         result = {"solvable": ok,
                   "per_vertex": [{"target": t, "reachable": reports[t].verdict}
                                  for t in targets]}
-    _emit(args, "solvable",
-          {"spec": args.spec, "dist": args.dist, "target": args.target},
+    _emit(args, {"spec": args.spec, "dist": args.dist, "target": args.target},
           result, lines, states=sum(r.states_explored for r in reports))
     return EXIT_OK if ok else EXIT_FAILURE
 
@@ -447,9 +451,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
               "checks_passed": (all(step["solvable_after"] for step in steps)
                                 if args.check else None)}
     lines.append(f"final: {result['final_graph']} {result['final_dist']}")
-    _emit(args, "reduce",
-          {"spec": args.spec, "dist": args.dist,
-           "to_fixpoint": args.to_fixpoint, "check": args.check},
+    _emit(args, {"spec": args.spec, "dist": args.dist,
+                 "to_fixpoint": args.to_fixpoint, "check": args.check},
           result, lines)
     return EXIT_FAILURE if result["checks_passed"] is False else EXIT_OK
 
@@ -491,6 +494,12 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--csv", action="store_true",
                        help="emit the result table as CSV")
 
+    # solvable and reduce: one graph and one distribution on it
+    placed = argparse.ArgumentParser(add_help=False)
+    placed.add_argument("spec")
+    placed.add_argument("--dist", required=True,
+                        help="comma-separated pebble counts, one per vertex")
+
     parser = argparse.ArgumentParser(
         prog="pebbletools",
         description="Exact pebbling computations on paths, cycles, products, "
@@ -519,20 +528,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="factor pair, e.g. path:3,path:3")
     p.set_defaults(func=cmd_graham)
 
-    p = sub.add_parser("solvable", parents=[shared],
+    p = sub.add_parser("solvable", parents=[shared, placed],
                        help="solvability / reachability of a distribution")
-    p.add_argument("spec")
-    p.add_argument("--dist", required=True,
-                   help="comma-separated pebble counts, one per vertex")
     p.add_argument("--target", type=_cap, default=None,
                    help="single target vertex (default: all vertices)")
     p.set_defaults(func=cmd_solvable)
 
-    p = sub.add_parser("reduce", parents=[shared],
+    p = sub.add_parser("reduce", parents=[shared, placed],
                        help="apply size-reducing surgeries")
-    p.add_argument("spec")
-    p.add_argument("--dist", required=True,
-                   help="comma-separated pebble counts, one per vertex")
     p.add_argument("--to-fixpoint", action="store_true",
                    help="keep reducing until nothing applies")
     p.add_argument("--check", action="store_true",

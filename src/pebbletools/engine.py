@@ -345,6 +345,9 @@ def _fold(counts, target: int, schedule: tuple):
     `counts` is a tuple of ints or the columns of a chunk of rows, folded
     at once by the same + and >> 1.  On a tree this is the most pebbles
     moves can put on t; on a tree or a cycle t is reachable iff it is >= 1.
+    Each neighbour's fold runs on its own copy m of the counts, since on a
+    cycle both neighbours' trees hold the same vertices, and rebinds m[p]
+    rather than adding in place, since a column is a view into the chunk.
 
     Lemma.  Let t hold no pebble.  No move before the first arrival at t
     takes a pebble from t (it has none) or puts one there (it is the
@@ -365,10 +368,10 @@ def _fold(counts, target: int, schedule: tuple):
     """
     total = counts[target]
     for u, pairs in schedule[target]:
-        carry = {}
+        m = list(counts)
         for c, p in pairs:
-            carry[p] = carry.get(p, 0) + ((carry.get(c, 0) + counts[c]) >> 1)
-        total = total + ((counts[u] + carry.get(u, 0)) >> 1)
+            m[p] = m[p] + (m[c] >> 1)
+        total = total + (m[u] >> 1)
     return total
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: grammar, commands, output, exit codes."""
 
+import argparse
 import errno
 import json
 import os
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from pebbletools.cli import _CLOSED_FORMS, main, parse_graph_spec
+from pebbletools.cli import _CLOSED_FORMS, _build_parser, main, parse_graph_spec
 from pebbletools import (
+    MAX_ENGINE_PEBBLES,
     Distribution,
     Move,
     SurgeryResult,
@@ -650,6 +652,42 @@ def test_reduce_json_byte_identical(capsys):
 
 # ---------------------------------------------------------------------------
 # argparse-level behavior
+
+
+# Per subcommand: its positionals, then each option string with True
+# where the option is required.
+_SHARED = {"-h": False, "--help": False, "--json": False, "--timing": False,
+           "--max-pebbles": False, "--max-vertices": False,
+           "--budget-states": False}
+_ARGUMENTS = {
+    "fopt": (["spec"], {**_SHARED, "--construct": False}),
+    "verify": (["family"], {**_SHARED, "--csv": False, "--max-n": True}),
+    "graham": (["pairs"], {**_SHARED, "--csv": False}),
+    "solvable": (["spec"], {**_SHARED, "--dist": True, "--target": False}),
+    "reduce": (["spec"], {**_SHARED, "--dist": True, "--to-fixpoint": False,
+                          "--check": False}),
+}
+
+
+@pytest.mark.parametrize("command", list(_ARGUMENTS))
+def test_each_subcommand_takes_its_arguments(capsys, command):
+    """Each subcommand's --help exits 0, and its arguments are the table's,
+    with the shared options' defaults unchanged by any subcommand."""
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: pebbletools {command} ")
+    sub = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    positionals = [a.dest for a in actions if not a.option_strings]
+    options = {s: a.required for a in actions for s in a.option_strings}
+    assert (positionals, options) == _ARGUMENTS[command]
+    defaults = {a.dest: a.default for a in actions
+                if a.option_strings and a.option_strings[0] in _SHARED}
+    assert defaults == {"help": argparse.SUPPRESS, "json": False, "timing": False,
+                        "max_pebbles": MAX_ENGINE_PEBBLES, "max_vertices": None,
+                        "budget_states": None}
 
 
 def test_unknown_command_exits_2(capsys):

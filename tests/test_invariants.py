@@ -280,12 +280,18 @@ def test_fold_verdict_matches_engine(g, canonical):
     """On trees and cycles the fold decides every row with at most 9
     pebbles exactly as `is_solvable` does, on g and on a relabelled copy.
     The engine is asked once per orbit: a row of the copy is read back on
-    g's labels, and rows an automorphism of g relates share a verdict."""
+    g's labels, and rows an automorphism of g relates share a verdict.
+    The fold never writes its chunk: a read-only chunk gives the same mask
+    as a writable copy, and that copy is unchanged afterwards."""
     canonical = canonical or (lambda rows: rows)
     copy = _relabelled(g, g.n)
     for k in range(10):
         rows = compositions_array(k, g.n)
+        rows.flags.writeable = False
+        writable = rows.copy()
         folded = np.concatenate([_fold_verdict(g)(rows), _fold_verdict(copy)(rows)])
+        assert np.array_equal(_fold_verdict(g)(writable), folded[:len(rows)])
+        assert np.array_equal(writable, rows)
         on_g = np.concatenate([rows, rows[:, _permutation(g.n, g.n)]])
         keys = canonical(on_g)
         _, first, which = np.unique(_digits(keys), return_index=True,

@@ -52,11 +52,10 @@ def test_each_module_declares_what_it_defines():
     assert sorted(pebbletools.__all__) == sorted([*owner, "__version__"])
 
 
-def _callers(name: str) -> set[str]:
-    """`module.qualname` of each top-level function, or method of a
-    top-level class, in src/pebbletools whose body calls `name(...)`,
-    nested functions included; `module.<module>` for a call elsewhere."""
-    found = set()
+def _scopes():
+    """(`module.qualname`, node) for each top-level function, and method
+    of a top-level class, in src/pebbletools, nested functions included
+    in its node; `module.<module>` for each other top-level statement."""
     for path in sorted(Path(pebbletools.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             if isinstance(top, ast.ClassDef):
@@ -68,12 +67,15 @@ def _callers(name: str) -> set[str]:
             else:
                 scopes = [("<module>", top)]
             for qualname, node in scopes:
-                for call in ast.walk(node):
-                    if isinstance(call, ast.Call) and name in (
-                            getattr(call.func, "id", None),
-                            getattr(call.func, "attr", None)):
-                        found.add(f"{path.stem}.{qualname}")
-    return found
+                yield f"{path.stem}.{qualname}", node
+
+
+def _callers(name: str) -> set[str]:
+    """Each scope (`_scopes`) whose body calls `name(...)`."""
+    return {qualname for qualname, node in _scopes()
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and name in (
+                getattr(call.func, "id", None), getattr(call.func, "attr", None))}
 
 
 def test_one_cap_refusal_and_one_search_stop():
@@ -84,6 +86,18 @@ def test_one_cap_refusal_and_one_search_stop():
     assert _callers("SizeLimitError") == {"errors._check_cap"}
     assert _callers("BudgetError") == {"invariants._LayerScanner.stop",
                                        "engine._reach"}
+
+
+def test_one_place_turns_a_stopped_search_into_a_row():
+    """A sweep's search stopped by a budget or a cap becomes a row in
+    `cli._row` alone: it holds the package's one `except` clause that
+    catches BudgetError and SizeLimitError together."""
+    both = {"BudgetError", "SizeLimitError"}
+    handlers = [qualname for qualname, node in _scopes()
+                for handler in ast.walk(node)
+                if isinstance(handler, ast.ExceptHandler) and handler.type
+                and both <= {getattr(n, "id", None) for n in ast.walk(handler.type)}]
+    assert handlers == ["cli._row"]
 
 
 def test_all_matches_the_public_names():
