@@ -55,7 +55,7 @@ from .engine import (MAX_ENGINE_PEBBLES, MAX_ENGINE_VERTICES, Distribution,
 from .errors import (BudgetError, NotApplicableError, PebblingError,
                      SizeLimitError, _check_cap, _quote, parse_natural)
 from .graphs import (
-    MAX_PRODUCT_VERTICES,
+    _LEAST_ORDER,
     Graph,
     canonical_family,
     cartesian_product,
@@ -65,6 +65,7 @@ from .graphs import (
 )
 from .invariants import (
     MAX_GRAHAM_PRODUCT_VERTICES,
+    _check_connected,
     construct_optimal_cycle_distribution,
     construct_optimal_path_distribution,
     formula_fopt_cycle,
@@ -88,10 +89,9 @@ EXIT_NOT_APPLICABLE = 4
 class _SpecParser:
     """Recursive-descent parser for the graph spec grammar.  A `path:`,
     `cycle:`, `file:` or `product(` spec over `max_vertices` is refused
-    before it is built; with no cap, a product stops at
-    `MAX_PRODUCT_VERTICES`."""
+    before it is built."""
 
-    def __init__(self, text: str, max_vertices: int | None = None):
+    def __init__(self, text: str, max_vertices: int):
         self.text = text
         self.pos = 0
         self.max_vertices = max_vertices
@@ -151,9 +151,8 @@ class _SpecParser:
             right = self.spec()
             if not self.literal(")"):
                 raise self.fail("expected ')' closing product")
-            return cartesian_product(left, right, max_vertices=(
-                MAX_PRODUCT_VERTICES if self.max_vertices is None
-                else self.max_vertices))
+            return cartesian_product(left, right,
+                                     max_vertices=self.max_vertices)
         if self.literal("file:"):
             path = self.run(lambda c: c not in ",)").strip()
             if not path:
@@ -184,7 +183,7 @@ class _SpecParser:
             raise self.fail("unexpected trailing input")
 
 
-def parse_graph_spec(s: str, max_vertices: int | None = None) -> Graph:
+def parse_graph_spec(s: str, max_vertices: int) -> Graph:
     """Parse a graph spec string into a Graph; a path:, cycle:, file: or
     product( spec over max_vertices raises SizeLimitError before it is
     built."""
@@ -310,7 +309,7 @@ def _verify_row(args: argparse.Namespace, n: int) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    start_n = 1 if args.family == "path" else 3
+    start_n = _LEAST_ORDER[args.family]
     if args.max_n < start_n:
         raise ValueError(f"--max-n must be at least {start_n} for the "
                          f"{args.family} family, got {args.max_n}")
@@ -336,8 +335,8 @@ def cmd_graham(args: argparse.Namespace) -> int:
     # spec, a factor over the vertex cap or a disconnected factor ends the
     # run before a search starts.
     pairs = [_SpecParser(p, args.caps["max_vertices"]).pair() for p in args.pairs]
-    if not all(g.is_connected() for _, graphs in pairs for g in graphs):
-        raise ValueError("graph is disconnected; no distribution is solvable")
+    for g in (g for _, graphs in pairs for g in graphs):
+        _check_connected(g)
     # The report fields of a row, and the CSV header after g and h.
     fields = ["fopt_g", "fopt_h", "fopt_product", "bound", "holds", "tight"]
 

@@ -36,15 +36,21 @@ import numpy as np
 from .errors import _check_cap
 
 
+def _check_arguments(total: int, length: int) -> None:
+    """The one refusal of a composition's arguments, shared by both
+    builders: ValueError unless length >= 1 and total >= 0."""
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    if total < 0:
+        raise ValueError("total must be non-negative")
+
+
 def iter_compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
     """Yield every length-tuple of non-negative ints summing to total,
     in colexicographic order: with i the lowest occupied index, v = c_i,
     the next row sets c_i = 0, then c_0 = v - 1 and c_{i+1} += 1; the last
     row has every pebble on the last index."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if total < 0:
-        raise ValueError("total must be non-negative")
+    _check_arguments(total, length)
     counts = [total] + [0] * (length - 1)
     low = 0 if total else length - 1
     while True:
@@ -66,10 +72,7 @@ def compositions_array(total: int, length: int,
     given, must be compositions_array(total - 1, length); the call is then
     one step.  Its shape, dtype and first row are checked, its other rows
     are not, so anything else raises ValueError or yields wrong rows."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if total < 0:
-        raise ValueError("total must be non-negative")
+    _check_arguments(total, length)
     _check_cap(total, np.iinfo(np.int16).max, "pebbles")
     if previous is None:
         rows = np.zeros((1, length), dtype=np.int16)
@@ -110,14 +113,10 @@ def is_path_canonical(counts: tuple[int, ...]) -> bool:
 def is_cycle_canonical(counts: tuple[int, ...]) -> bool:
     """Representative of a rotation/reflection orbit: lexicographic minimum."""
     n = len(counts)
-    doubled = counts + counts
-    for s in range(n):
-        if doubled[s:s + n] < counts:
-            return False
-    mirrored = counts[::-1]
-    doubled = mirrored + mirrored
-    for s in range(n):
-        if doubled[s:s + n] < counts:
-            return False
+    # Every rotation of the row or of its mirror is a window of one of these.
+    for doubled in (counts * 2, counts[::-1] * 2):
+        for s in range(n):
+            if doubled[s:s + n] < counts:
+                return False
     return True
 

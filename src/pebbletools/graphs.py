@@ -5,9 +5,13 @@ share between threads; derived data (BFS distances, the engine's move
 tables) is computed on first use and kept with the graph.
 
 `canonical_family` is the one test for the canonically indexed path or
-cycle, the graphs the surgeries and the orbit filter take.  Every number
-of an edge-list file follows `errors.parse_natural`, the rule for typed
-numbers.
+cycle, the graphs the surgeries and the orbit filter take.  This module
+owns each family's least order (`_LEAST_ORDER`: a path needs 1 vertex, a
+cycle 3, the domains of the paper's two theorems) and the one refusal of
+an order below it, `_check_family_order`; the constructors, the closed
+forms, `verify` and the surgeries' size floor all read them here.  Every
+number of an edge-list file follows `errors.parse_natural`, the rule for
+typed numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +33,16 @@ from typing import Callable, Iterable, Iterator
 from .errors import _check_cap, _quote, parse_natural
 
 MAX_PRODUCT_VERTICES = 64
+
+_LEAST_ORDER = {"path": 1, "cycle": 3}
+
+
+def _check_family_order(family: str, n: int) -> None:
+    """The one refusal of an order below its family's least: ValueError."""
+    least = _LEAST_ORDER[family]
+    if n < least:
+        raise ValueError(f"{family} needs at least {least} "
+                         f"{'vertex' if least == 1 else 'vertices'}, got {n}")
 
 
 class Graph:
@@ -123,15 +137,13 @@ class Graph:
 
 def make_path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i, i+1}."""
-    if n < 1:
-        raise ValueError(f"path needs at least 1 vertex, got {n}")
+    _check_family_order("path", n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def make_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, edges {i, (i+1) mod n}."""
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_family_order("cycle", n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -141,7 +153,8 @@ def canonical_family(g: Graph) -> str | None:
     n, m = g.n, g.edge_count
     if m == n - 1 and all(g.has_edge(i, i + 1) for i in range(n - 1)):
         return "path"
-    if m == n >= 3 and all(g.has_edge(i, (i + 1) % n) for i in range(n)):
+    if m == n >= _LEAST_ORDER["cycle"] and all(
+            g.has_edge(i, (i + 1) % n) for i in range(n)):
         return "cycle"
     return None
 

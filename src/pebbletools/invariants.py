@@ -72,7 +72,8 @@ from .engine import (
 )
 from .enumeration import compositions_array, is_cycle_canonical, is_path_canonical
 from .errors import BudgetError, _check_cap
-from .graphs import Graph, canonical_family, cartesian_product
+from .graphs import (Graph, _check_family_order, canonical_family,
+                     cartesian_product)
 
 MAX_PEBBLING_VERTICES = 8
 MAX_PEBBLING_VALUE = 32
@@ -139,21 +140,15 @@ class GrahamCheck:
 # closed forms
 
 
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-
-
 def formula_fopt_path(n: int) -> int:
     """Optimal pebbling number of the n-vertex path: 2t + r for n = 3t + r."""
-    _check_order(n)
+    _check_family_order("path", n)
     return 2 * (n // 3) + n % 3
 
 
 def formula_fopt_cycle(n: int) -> int:
     """Optimal pebbling number of the n-vertex cycle (n >= 3): 2t + r."""
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_family_order("cycle", n)
     return formula_fopt_path(n)
 
 
@@ -166,7 +161,7 @@ def construct_optimal_path_distribution(n: int) -> Distribution:
     An n over sys.maxsize, which no list can index, raises SizeLimitError.
     """
     _check_cap(n, sys.maxsize)
-    _check_order(n)
+    _check_family_order("path", n)
     t, r = divmod(n, 3)
     counts = [0] * n
     counts[1:3 * t:3] = [2] * t
@@ -176,8 +171,7 @@ def construct_optimal_path_distribution(n: int) -> Distribution:
 
 def construct_optimal_cycle_distribution(n: int) -> Distribution:
     """Solvable distribution of size 2t + r on the n-vertex cycle (n >= 3)."""
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_family_order("cycle", n)
     return construct_optimal_path_distribution(n)
 
 
@@ -278,6 +272,13 @@ def _fold_verdict(g: Graph):
     return solvable_rows
 
 
+def _check_connected(g: Graph) -> None:
+    """The one refusal of a disconnected graph, whose every distribution
+    leaves some vertex unreachable: ValueError."""
+    if not g.is_connected():
+        raise ValueError("graph is disconnected; no distribution is solvable")
+
+
 class _LayerScanner:
     """Scans size-k layers of a graph's distributions in colex order for
     the first row whose verdict is `solvable`.
@@ -303,8 +304,7 @@ class _LayerScanner:
     def __init__(self, g: Graph, max_vertices: int, budget: int | None,
                  solvable: bool):
         _check_cap(g.n, max_vertices)
-        if not g.is_connected():
-            raise ValueError("graph is disconnected; no distribution is solvable")
+        _check_connected(g)
         self.g = g
         self.budget = budget
         self.solvable = solvable

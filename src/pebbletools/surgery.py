@@ -8,7 +8,7 @@ Each rule only validates its input and finds its pattern, then names the
 vertices that go and the pebbles that move; one rewrite step, `_rewrite`,
 keeps the survivors in index order, numbers them 0..m-1, builds the path
 or cycle on them and counts the net.  It is also the one place a result's
-size is checked: a path must keep a vertex and a cycle three.
+size is checked, against its family's least order (`graphs._LEAST_ORDER`).
 
 Every rule and `try_reduce` open with one gate, `_gate`: the engine's
 `_check_length` (the package's only length check) and
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .engine import Distribution, _check_length
 from .errors import NotApplicableError
-from .graphs import Graph, canonical_family, make_cycle, make_path
+from .graphs import _LEAST_ORDER, Graph, canonical_family, make_cycle, make_path
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ def _rewrite(g: Graph, d: Distribution, family: str, gone: list[int],
     pebbles onto each surviving old vertex v, and report the step on the
     member of order m; every rule ends here.  NotApplicableError when
     that leaves a path no vertex or a cycle fewer than 3."""
-    make, floor = (make_path, 1) if family == "path" else (make_cycle, 3)
+    make = make_path if family == "path" else make_cycle
+    floor = _LEAST_ORDER[family]
     kept = [v for v in range(g.n) if v not in gone]
     if len(kept) < floor:
         raise NotApplicableError(

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +16,14 @@ import pytest
 from pebbletools.cli import _CLOSED_FORMS, _build_parser, main, parse_graph_spec
 from pebbletools import (
     MAX_ENGINE_PEBBLES,
+    MAX_ENGINE_VERTICES,
     Distribution,
     Move,
     SurgeryResult,
     cartesian_product,
+    construct_optimal_cycle_distribution,
+    construct_optimal_path_distribution,
+    formula_fopt_cycle,
     formula_fopt_path,
     make_cycle,
     make_path,
@@ -41,29 +46,35 @@ def run(capsys, *argv):
 
 
 def test_parse_spec_families():
-    assert parse_graph_spec("cycle:7") == make_cycle(7)
-    assert parse_graph_spec("path:1") == make_path(1)
+    assert parse_graph_spec("cycle:7", MAX_ENGINE_VERTICES) == make_cycle(7)
+    assert parse_graph_spec("path:1", MAX_ENGINE_VERTICES) == make_path(1)
 
 
 def test_parse_spec_product():
-    g = parse_graph_spec("product(path:3,path:3)")
+    g = parse_graph_spec("product(path:3,path:3)", MAX_ENGINE_VERTICES)
     assert g == cartesian_product(make_path(3), make_path(3))
 
 
 def test_parse_spec_nested_product():
-    g = parse_graph_spec("product(product(path:2,path:2),path:2)")
+    g = parse_graph_spec("product(product(path:2,path:2),path:2)",
+                         MAX_ENGINE_VERTICES)
     assert g.n == 8
 
 
 def test_parse_spec_file(tmp_path):
     path = tmp_path / "c3.edges"
     path.write_text("3\n0 1\n1 2\n2 0\n")
-    assert parse_graph_spec(f"file:{path}") == make_cycle(3)
+    assert parse_graph_spec(f"file:{path}", MAX_ENGINE_VERTICES) == make_cycle(3)
+
+
+def test_parse_spec_has_no_uncapped_mode():
+    with pytest.raises(TypeError):
+        parse_graph_spec("path:3")
 
 
 def test_parse_spec_invalid_argument():
     with pytest.raises(ValueError):
-        parse_graph_spec("path:0")
+        parse_graph_spec("path:0", MAX_ENGINE_VERTICES)
 
 
 @pytest.mark.parametrize("spec,position,message", [
@@ -99,11 +110,11 @@ def test_long_spec_error_quotes_a_window_around_the_position(capsys):
 
 def test_parse_spec_errors_carry_position():
     with pytest.raises(ValueError, match="position 14"):
-        parse_graph_spec("product(path:3")
+        parse_graph_spec("product(path:3", MAX_ENGINE_VERTICES)
     with pytest.raises(ValueError, match="trailing"):
-        parse_graph_spec("path:3extra")
+        parse_graph_spec("path:3extra", MAX_ENGINE_VERTICES)
     with pytest.raises(ValueError, match="position 0"):
-        parse_graph_spec("triangle:3")
+        parse_graph_spec("triangle:3", MAX_ENGINE_VERTICES)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +210,7 @@ def test_fopt_construct_rejects_other_graphs(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("spec,message", [
-    ("path:0", "n must be at least 1, got 0"),
+    ("path:0", "path needs at least 1 vertex, got 0"),
     ("cycle:2", "cycle needs at least 3 vertices, got 2"),
     ("path:5x", "spec parse error at position 6: unexpected trailing input "
                 "(in 'path:5x')"),
@@ -208,6 +219,29 @@ def test_fopt_construct_bad_order_exit_2(capsys, spec, message):
     code, out, err = run(capsys, "fopt", spec, "--construct")
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family,least,make,formula,construct", [
+    ("path", 1, make_path, formula_fopt_path,
+     construct_optimal_path_distribution),
+    ("cycle", 3, make_cycle, formula_fopt_cycle,
+     construct_optimal_cycle_distribution),
+], ids=["path", "cycle"])
+def test_each_family_refuses_an_order_below_its_least_with_one_message(
+        capsys, family, least, make, formula, construct):
+    """The family's constructor, closed form and construction, and `fopt`
+    with and without --construct, refuse the order below the family's
+    least with the same message, and take the least."""
+    message = (f"{family} needs at least {least} "
+               f"{'vertex' if least == 1 else 'vertices'}, got {least - 1}")
+    for build in (make, formula, construct):
+        with pytest.raises(ValueError) as info:
+            build(least - 1)
+        assert str(info.value) == message
+        build(least)
+    for construct_flag in ([], ["--construct"]):
+        assert run(capsys, "fopt", f"{family}:{least - 1}", *construct_flag) \
+            == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("family", ["path", "cycle"])
@@ -778,6 +812,24 @@ def _run_module(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, "-m", "pebbletools.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_goldens_agree_with_the_oracle(tmp_path):
+    """golden_oracle.py, a CI step, passes every golden against
+    perfbench/oracle.py and fails on a golden edited by hand."""
+    script = [sys.executable, str(Path(__file__).parent / "golden_oracle.py")]
+    proc = subprocess.run(script, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (
+        0, f"{len(list(_golden_commands()))} goldens checked against the oracle\n")
+    edited = tmp_path / "golden"
+    shutil.copytree(GOLDEN, edited)
+    report = json.loads((edited / "solvable_cycle_5.json").read_text())
+    report["result"]["per_vertex"][0]["reachable"] = False
+    (edited / "solvable_cycle_5.json").write_text(json.dumps(report))
+    proc = subprocess.run([*script, str(edited)], capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout.splitlines()[0]) == (
+        1, "solvable_cycle_5.json: the oracle disagrees on per-vertex verdicts")
 
 
 def test_module_entry_point_prints_golden_json():

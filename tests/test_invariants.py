@@ -393,7 +393,7 @@ def test_constructions_refuse_bad_orders():
     for closed_form in (formula_fopt_path, construct_optimal_path_distribution):
         with pytest.raises(ValueError) as info:
             closed_form(0)
-        assert str(info.value) == "n must be at least 1, got 0"
+        assert str(info.value) == "path needs at least 1 vertex, got 0"
     # no list can index an order over sys.maxsize
     for construct in (construct_optimal_path_distribution,
                       construct_optimal_cycle_distribution):
@@ -434,8 +434,8 @@ def test_optimal_number_frozen_witnesses():
     assert optimal_pebbling_number(make_path(6)).witness.counts == (0, 2, 0, 0, 2, 0)
 
 
-# (family, n, value, witness, distributions examined) of f_opt on path:1..14
-# and cycle:3..14; the screen, the verdict and the orbit test must keep them
+# (family, n, value, witness, distributions examined) of f_opt on path:1..15
+# and cycle:3..15; the screen, the verdict and the orbit test must keep them
 PINNED_REPORTS = [
     ("path", 1, 1, "1", 1),
     ("path", 2, 2, "1,1", 5),
@@ -451,6 +451,7 @@ PINNED_REPORTS = [
     ("path", 12, 8, "0,2,0,0,2,0,0,2,0,0,2,0", 115923),
     ("path", 13, 9, "0,1,2,0,0,2,0,0,2,0,0,2,0", 400097),
     ("path", 14, 10, "0,1,2,0,0,2,0,0,2,0,0,2,1,0", 1341477),
+    ("path", 15, 10, "0,2,0,0,2,0,0,2,0,0,2,0,0,2,0", 2290543),
     ("cycle", 3, 2, "0,0,2", 9),
     ("cycle", 4, 3, "0,1,0,2", 34),
     ("cycle", 5, 4, "0,0,1,2,1", 125),
@@ -463,6 +464,7 @@ PINNED_REPORTS = [
     ("cycle", 12, 8, "0,0,2,0,0,2,0,0,2,0,0,2", 125969),
     ("cycle", 13, 9, "0,0,1,2,0,0,2,0,0,2,0,0,2", 465633),
     ("cycle", 14, 10, "0,0,1,2,0,0,2,0,0,2,0,0,2,1", 1734693),
+    ("cycle", 15, 10, "0,0,2,0,0,2,0,0,2,0,0,2,0,0,2", 3076975),
 ]
 
 
@@ -546,30 +548,6 @@ def test_optimal_number_ignores_misleading_label():
     report = optimal_pebbling_number(star)
     assert report.value == 2
     assert is_solvable(star, report.witness)
-
-
-def test_optimal_number_pinned_path_12():
-    report = optimal_pebbling_number(make_path(12))
-    assert (report.value, report.witness.format(), report.distributions_examined) \
-        == (8, "0,2,0,0,2,0,0,2,0,0,2,0", 115923)
-
-
-def test_optimal_number_pinned_cycle_12():
-    report = optimal_pebbling_number(make_cycle(12))
-    assert (report.value, report.witness.format(), report.distributions_examined) \
-        == (8, "0,0,2,0,0,2,0,0,2,0,0,2", 125969)
-
-
-def test_optimal_number_pinned_path_15():
-    report = optimal_pebbling_number(make_path(15))
-    assert (report.value, report.witness.format(), report.distributions_examined) \
-        == (10, "0,2,0,0,2,0,0,2,0,0,2,0,0,2,0", 2290543)
-
-
-def test_optimal_number_pinned_cycle_15():
-    report = optimal_pebbling_number(make_cycle(15))
-    assert (report.value, report.witness.format(), report.distributions_examined) \
-        == (10, "0,0,2,0,0,2,0,0,2,0,0,2,0,0,2", 3076975)
 
 
 @pytest.mark.parametrize("g,value,witness,examined", [

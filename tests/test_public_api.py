@@ -100,6 +100,24 @@ def test_one_place_turns_a_stopped_search_into_a_row():
     assert handlers == ["cli._row"]
 
 
+def test_each_refusal_has_one_raise_site():
+    """Each message of a raised error, a string or f-string first argument
+    of the raised call, is written at one raise site: a rule copied to two
+    places can drift apart."""
+    sites = {}
+    for qualname, node in _scopes():
+        for raised in ast.walk(node):
+            message = (raised.exc.args[0] if isinstance(raised, ast.Raise)
+                       and isinstance(raised.exc, ast.Call) and raised.exc.args
+                       else None)
+            if (isinstance(message, ast.JoinedStr)
+                    or isinstance(getattr(message, "value", None), str)):
+                sites.setdefault(ast.unparse(message), []).append(qualname)
+    repeated = {message: where for message, where in sites.items()
+                if len(where) > 1}
+    assert not repeated, repeated
+
+
 def test_all_matches_the_public_names():
     for name in pebbletools.__all__:
         assert hasattr(pebbletools, name), name
