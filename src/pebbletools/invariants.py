@@ -12,11 +12,12 @@ one size-k layer at a time, each layer built from the one before it
 (`compositions_array` with `previous`), and screen them a whole chunk at a
 time, one vectorized screen per search:
 
-* reject (the search for a solvable row, `optimal_pebbling_number`): a
-  vertex whose weighted potential sum(c_v * 2^-dist) falls below 1 can
-  never be reached, so the distribution is unsolvable (one matmul with the
-  engine's integer weights, its depth capped so that every sum is an exact
-  float64 integer);
+* reject (the search for a solvable row, `optimal_pebbling_number`): the
+  neighbour screen, the lemma in `engine._fold` read as a bound.  An
+  empty vertex t none of whose neighbours u has a potential
+  sum(c_v * 2^-d_{G-t}(v, u)) of at least 2 in G - t is never reached, so
+  the distribution is unsolvable (one matmul per neighbour slot, its
+  depth capped so that every sum is an exact float64 integer);
 * accept (the search for an unsolvable row, `pebbling_number`): if every
   vertex has a single pile holding 2^dist pebbles, each vertex is
   reachable on its own, so the distribution is solvable (one bitmask OR
@@ -26,7 +27,10 @@ A screen only picks the rows worth visiting.  The engine's leaf-to-root
 transport fold (one column operation per edge of the BFS tree of G - t at
 each neighbour of t, a whole chunk at a time) then reads every visited
 row.  On trees and cycles, where G - t is a forest for every t, it is the
-exact verdict (the test suite holds it to the engine's search).  On every
+exact verdict (the test suite holds it to the engine's search); on paths
+and cycles the neighbour screen is already exact, so there the fold sees
+only solvable rows (with no orbit test, only in the chunk that returns).
+On every
 other graph it is sound only as an accept: the search for an unsolvable
 row drops the rows it accepts, and the engine's `is_solvable` decides the
 rest one row at a time; the search for a solvable row skips the fold there
@@ -179,39 +183,76 @@ def construct_optimal_cycle_distribution(n: int) -> Distribution:
 # brute-force machinery
 
 
-def _potential_filter(g: Graph, k: int):
-    """Reject filter for size-k rows of g: a function from a chunk of rows
-    to the mask of rows whose potential sum(c_v * 2^-dist(v, t)) reaches 1
-    at every target t.  A row outside the mask is unsolvable.
+def _neighbour_screen(g: Graph, k: int):
+    """Reject filter for size-k rows of g, from the lemma in `engine._fold`:
+    a function from a chunk of rows to the mask of rows in which every
+    target t holds a pebble or has a neighbour u whose potential in G - t,
+    sum(c_v * 2^-d(v, u)) over u's component, d = d_{G-t}, reaches 2.  An
+    empty t is reached only by a move from a neighbour that has collected
+    2 pebbles in G - t; moves inside G - t never raise u's potential there,
+    and 2 pebbles on u have potential 2, so a row outside the mask is
+    unsolvable.
 
-    The engine's weights, rescaled to 2^(C - dist(v, t)), face the one
-    threshold 2^C, where C = min(D, 52 - k.bit_length()) caps the largest
-    depth D.  A vertex farther than C from t weighs 1, what it would weigh
-    at distance C.  A size-k row then weighs less than 2^52, so every
-    float64 product and sum is an exact integer.  Weights only grow under
-    the cap, so the mask keeps every row the exact potential keeps, and
-    the rows it adds are decided exactly downstream; below the cap
-    (k * 2^D < 2^52, so every search at the default caps) it is the exact
-    test itself.
+    On a chain v_0 = u, v_1, ... the fold is m(u) = c_0 + floor(m(v_1) / 2)
+    = floor(sum(c_i * 2^-i)), since floor(floor(x) / 2) = floor(x / 2).  On
+    paths and cycles every u's component of G - t is such a chain with u at
+    its end, so there the mask is the fold's verdict itself.
+
+    Row t of slot j weighs 2^(C + 1) on t and 2^(C - min(d, C)) on u's
+    component, u the j-th neighbour of t, against the one threshold
+    2^(C + 1); C = min(depth, 52 - k.bit_length()) caps the largest d, so a
+    size-k row weighs less than 2^53 and every float64 product and sum is
+    an exact integer.  A capped weight only grows, so the mask keeps every
+    row the uncapped test keeps; below the cap (every search at the
+    default caps) it is the uncapped test itself.  Each slot is one n x n
+    matmul over the chunk, ORed into one mask of targets by rows.
     """
-    depth = max(d for _, d in g.derived(_weight_table))
+    depth = max(int(g.derived(_neighbour_distances).max()), 0)
     cap = min(depth, 52 - k.bit_length())
-    weights = g.derived(_capped_weights, cap)
-    threshold = float(1 << cap)
+    blocks = g.derived(_neighbour_weights, cap)
+    threshold = float(2 << cap)
 
     def reaches_all(chunk: np.ndarray) -> np.ndarray:
-        potentials = chunk.astype(np.float64) @ weights.T
-        return (potentials >= threshold).all(axis=1)
+        cols = chunk.T.astype(np.float64)
+        reached = blocks[0] @ cols >= threshold
+        for block in blocks[1:]:
+            reached |= block @ cols >= threshold
+        return reached.all(axis=0)
 
     return reaches_all
 
 
-def _capped_weights(g: Graph, cap: int) -> np.ndarray:
-    """The weight matrix of `_potential_filter` at depth cap `cap`: the
-    engine's weight of v toward t rescaled to 2^(cap - dist(v, t)), at
-    least 1 where v reaches t, 0 where it does not."""
-    return np.array([[w and max(w << cap >> d, 1) for w in row]
-                     for row, d in g.derived(_weight_table)], dtype=np.float64)
+def _neighbour_distances(g: Graph) -> np.ndarray:
+    """dist[j, t, v] = d_{G-t}(v, u), u the j-th neighbour of t, read off
+    `engine._fold_schedule`'s BFS trees; -1 where v is outside u's
+    component, and on t itself.  A target with fewer neighbours than the
+    most repeats its last one; a vertex with none (n = 1) has one row of
+    -1s."""
+    per_target = []
+    for roots in g.derived(_fold_schedule):
+        rows = []
+        for u, pairs in roots:
+            row = [-1] * g.n
+            row[u] = 0
+            for c, p in reversed(pairs):
+                row[c] = row[p] + 1
+            rows.append(row)
+        per_target.append(rows or [[-1] * g.n])
+    slots = max(map(len, per_target))
+    return np.array([[rows[min(j, len(rows) - 1)] for rows in per_target]
+                     for j in range(slots)])
+
+
+def _neighbour_weights(g: Graph, cap: int) -> np.ndarray:
+    """The weight blocks of `_neighbour_screen` at depth cap `cap`: per slot
+    j, row t weighs 2^(cap + 1) on t and 2^(cap - min(d, cap)) on v at
+    d = dist[j, t, v] >= 0, and 0 elsewhere."""
+    dist = g.derived(_neighbour_distances)
+    blocks = np.where(dist < 0, 0.0,
+                      np.ldexp(1.0, cap - np.minimum(dist, cap)))
+    diagonal = np.arange(g.n)
+    blocks[:, diagonal, diagonal] = float(2 << cap)
+    return blocks
 
 
 def _cover_filter(g: Graph, k: int):
@@ -289,13 +330,15 @@ class _LayerScanner:
     Every stop of either search is one `stop`: a BudgetError with the rows
     examined, the lower bound proven so far and an upper bound that g's
     order and diameter alone prove.
-    One screen per search picks the rows worth visiting: the reject filter
-    for a solvable row, the complement of the accept filter for an
+    One screen per search picks the rows worth visiting: the neighbour
+    screen for a solvable row, the complement of the accept filter for an
     unsolvable one.  One exact verdict then decides each visited row: on
     trees and cycles (`exact`) the fold, a whole chunk at a time;
     elsewhere the engine, one row at a time.  There the search for an
     unsolvable row first drops the rows the fold accepts, which are
-    solvable; the search for a solvable row builds no fold.  On the
+    solvable; the search for a solvable row builds no fold.  On paths and
+    cycles the neighbour screen is exact: the fold sees only solvable rows,
+    and with no orbit test only in the chunk that returns.  On the
     canonically indexed path and cycle the search for a solvable row also
     asks `canonical`, the family's per-row orbit test, of each row in
     turn; elsewhere `canonical` is None.
@@ -343,7 +386,7 @@ class _LayerScanner:
         one before it, kept in `layer`.
         """
         # A solvable row reaches every target; an unsolvable one is not covered.
-        screen = (_potential_filter if self.solvable else _cover_filter)(self.g, k)
+        screen = (_neighbour_screen if self.solvable else _cover_filter)(self.g, k)
         rows = self.layer = compositions_array(k, self.g.n, self.layer)
         for start in range(0, rows.shape[0], _CHUNK):
             chunk = rows[start:start + _CHUNK]

@@ -1,7 +1,7 @@
 """Every committed BENCH_*.json is readable evidence: parent and change
 runs of all three perfbench workloads, with the versions they ran on and
 the engine counters of a traced fopt-sweep run, compared with the BENCH
-file before it."""
+file before it, and a claim that names a metric it compared."""
 
 import json
 from pathlib import Path
@@ -49,3 +49,16 @@ def test_bench_file_names_an_earlier_previous(path):
     else:
         assert (ROOT / previous) in BENCH_FILES
         assert _number(ROOT / previous) < _number(path)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_file_claim_names_a_compared_metric(path):
+    """A non-null `claim` names a workload of `comparison` and a metric of
+    that workload's `metrics`, and says by a bool whether it was met."""
+    bench = json.loads(path.read_text())
+    claim = bench.get("claim")
+    if claim is None:
+        return
+    assert claim["workload"] in bench["comparison"]
+    assert claim["metric"] in bench["comparison"][claim["workload"]]["metrics"]
+    assert isinstance(claim["met"], bool)

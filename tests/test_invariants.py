@@ -37,7 +37,7 @@ from pebbletools.invariants import (
     _cover_filter,
     _fold_verdict,
     _LayerScanner,
-    _potential_filter,
+    _neighbour_screen,
 )
 
 
@@ -154,22 +154,54 @@ def _relabelled(g, seed):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def _paths_and_cycles(top):
+    """path:1..top-1 and cycle:3..top-1, each followed by a relabelled copy."""
+    graphs = []
+    for n in range(1, top):
+        graphs += [make_path(n), _relabelled(make_path(n), n)]
+        if n >= 3:
+            graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
+    return graphs
+
+
+def _distances_avoiding(g, t, u):
+    """d_{G-t}(v, u) for every v in u's component of G - t, by BFS."""
+    dist, queue = {u: 0}, [u]
+    for v in queue:
+        for w in g.neighbors(v):
+            if w != t and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _neighbour_reaches_all(g, rows):
+    """The neighbour screen's per-row definition in exact fractions: every
+    target t holds a pebble or has a neighbour u whose potential in G - t,
+    sum(c_v / 2^d_{G-t}(v, u)) over u's component, reaches 2."""
+    avoiding = [[_distances_avoiding(g, t, u) for u in g.neighbors(t)]
+                for t in range(g.n)]
+    piles = [[(v, c) for v, c in enumerate(row) if c] for row in rows]
+    return [all(row[t] or any(sum(Fraction(c, 2 ** dist[v])
+                                  for v, c in pile if v in dist) >= 2
+                              for dist in avoiding[t])
+                for t in range(g.n)) for row, pile in zip(rows, piles)]
+
+
 def test_layer_masks_match_per_row_definitions():
     """The scanner's reject and accept masks agree with their per-row
-    definitions on every row: reject (potential below 1 at some target)
-    and accept (every target has a pile of 2^dist).  The last two graphs,
-    on layers up to 2, take the other branch of each filter: path:56 has
-    diameter 55, so k * 2^55 >= 2^52 and the reject filter caps its depth
-    at 52 - k.bit_length(); the star has more than 64 vertices, so the
-    accept filter's masks are Python integers."""
+    definitions on every row: reject (an empty target none of whose
+    neighbours has a potential of 2 in G - t) and accept (every target has
+    a pile of 2^dist).  The last two graphs, on layers up to 2, take the
+    other branch of each filter: path:56's components of G - t reach depth
+    54 > 52 - k.bit_length(), so the reject filter caps its depth; the star
+    has more than 64 vertices, so the accept filter's masks are Python
+    integers."""
     graphs = [cartesian_product(make_path(2), make_path(3)),
               cartesian_product(make_path(3), make_path(3)),
               Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
               Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])]
-    for n in range(1, 8):
-        graphs += [make_path(n), _relabelled(make_path(n), n)]
-        if n >= 3:
-            graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
+    graphs += _paths_and_cycles(8)
     cases = [(g, 6) for g in graphs] + [(make_path(56), 2), (STAR_70, 2)]
     for g, max_k in cases:
         dist = [g.distances_from(t) for t in range(g.n)]
@@ -177,32 +209,69 @@ def test_layer_masks_match_per_row_definitions():
             rows = compositions_array(k, g.n)
             piles = [[(v, c) for v, c in enumerate(row) if c]
                      for row in rows.tolist()]
-            reaches_all = [all(sum(Fraction(c, 2 ** dist[t][v])
-                                   for v, c in pile) >= 1
-                               for t in range(g.n)) for pile in piles]
             covers_all = [all(any(c >= 2 ** dist[t][v] for v, c in pile)
                               for t in range(g.n)) for pile in piles]
-            assert _potential_filter(g, k)(rows).tolist() == reaches_all
+            assert _neighbour_screen(g, k)(rows).tolist() \
+                == _neighbour_reaches_all(g, rows.tolist())
             assert _cover_filter(g, k)(rows).tolist() == covers_all
 
 
 def test_reject_filter_depth_cap_only_adds_rows():
-    """Past k * 2^D >= 2^52 the reject filter caps the depth at
-    C = 52 - k.bit_length(), and a vertex farther than C weighs 1.  On
-    path:15 (D = 14) at k = 2^40, C = 11: of the single-pile rows 2^j on
-    v (j <= 16) it keeps all 94 whose exact potential reaches 1 at every
-    target, and also 2^12 on the last vertex, a potential of 1/4 at
-    vertex 0 that the uncapped test rejects."""
+    """Once k * 2^(depth + 1) >= 2^53 the reject filter caps the depth at
+    C = 52 - k.bit_length(), and a vertex farther than C from u in G - t
+    weighs 1.  On path:15 (depth 13 in G - t) at k = 2^40, C = 11: of the
+    single-pile rows 2^j on v (j <= 16) it keeps all 94 that are solvable
+    (j at least v's eccentricity), and 6 more, 2^12 on vertices 0, 1, 13,
+    14 and 2^13 on vertices 0 and 14.  One is 2^12 on the last vertex,
+    whose potential toward vertex 1 in G - 0 is 2^12 / 2^13 = 1/2 < 2, so
+    the uncapped test rejects it."""
     g = make_path(15)
     rows = np.array([[(1 << j) * (u == v) for u in range(15)]
                      for j in range(17) for v in range(15)], dtype=np.int64)
     eccentricity = [max(g.distances_from(v)) for v in range(15)]
     exact = [j >= eccentricity[v] for j in range(17) for v in range(15)]
-    kept = _potential_filter(g, 2 ** 40)(rows).tolist()
+    kept = _neighbour_screen(g, 2 ** 40)(rows).tolist()
     assert sum(exact) == 94
     assert all(kept[i] for i, sure in enumerate(exact) if sure)
     assert kept[12 * 15 + 14] and not exact[12 * 15 + 14]
-    assert sum(kept) == 106
+    assert not _neighbour_reaches_all(g, [rows[12 * 15 + 14].tolist()])[0]
+    assert sum(kept) == 100
+
+
+def test_neighbour_screen_is_the_fold_on_paths_and_cycles():
+    """On paths and cycles each component of G - t is a chain rooted at
+    its end, where the fold is floor(sum(c_i * 2^-i)), so the screen's mask
+    is the fold's verdict on every row with k <= 8, on path:1..10,
+    cycle:3..10 and a relabelled copy of each (369,400 rows)."""
+    graphs = _paths_and_cycles(11)
+    checked = 0
+    for g in graphs:
+        for k in range(9):
+            rows = compositions_array(k, g.n)
+            assert np.array_equal(_neighbour_screen(g, k)(rows),
+                                  _fold_verdict(g)(rows))
+            checked += rows.shape[0]
+    assert checked == 369400
+
+
+@pytest.mark.parametrize("g", [
+    cartesian_product(make_path(2), make_path(3)),
+    cartesian_product(make_cycle(4), make_path(2)),
+    Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
+    Graph(6, [(0, v) for v in range(1, 6)]),
+], ids=["grid_2x3", "c4_x_p2", "k4", "triangle_with_pendant", "spider", "star6"])
+def test_neighbour_screen_rejects_only_unsolvable_rows(g):
+    """Off paths and cycles the screen is only sound: no row with at most
+    6 pebbles that it rejects is solvable by `is_solvable`."""
+    rejected = 0
+    for k in range(7):
+        rows = compositions_array(k, g.n)
+        for row in rows[~_neighbour_screen(g, k)(rows)].tolist():
+            assert not is_solvable(g, Distribution(row)), row
+            rejected += 1
+    assert rejected
 
 
 def test_orbit_test_follows_structure():
@@ -213,11 +282,7 @@ def test_orbit_test_follows_structure():
     the n = 1, 2 paths and the 3-cycle) or in the search for an unsolvable
     row."""
     predicates = {"path": is_path_canonical, "cycle": is_cycle_canonical}
-    graphs = []
-    for n in range(1, 12):
-        graphs += [make_path(n), _relabelled(make_path(n), n)]
-        if n >= 3:
-            graphs += [make_cycle(n), _relabelled(make_cycle(n), n)]
+    graphs = _paths_and_cycles(12)
     assert sum(canonical_family(g) is None for g in graphs) == 17
     for g in graphs:
         assert (_LayerScanner(g, 20, None, True).canonical
@@ -550,18 +615,29 @@ def test_optimal_number_ignores_misleading_label():
     assert is_solvable(star, report.witness)
 
 
-@pytest.mark.parametrize("g,value,witness,examined", [
+@pytest.mark.parametrize("g,value,witness,examined,engine_calls", [
     (cartesian_product(make_path(4), make_path(4)), 7,
-     "1,0,0,0,0,0,0,2,0,4,0,0,0,0,0,0", 140148),
+     "1,0,0,0,0,0,0,2,0,4,0,0,0,0,0,0", 140148, 32),
     (cartesian_product(make_cycle(4), make_cycle(4)), 6,
-     "0,0,4,0,2,0,0,0,0,0,0,0,0,0,0,0", 74612),
-    (cartesian_product(make_cycle(3), make_path(3)), 4, "0,4,0,0,0,0,0,0,0", 714),
+     "0,0,4,0,2,0,0,0,0,0,0,0,0,0,0,0", 74612, 2),
+    (cartesian_product(make_cycle(3), make_path(3)), 4, "0,4,0,0,0,0,0,0,0", 714, 2),
 ], ids=["P4xP4", "C4xC4", "C3xP3"])
-def test_optimal_number_pinned_engine_graphs(g, value, witness, examined):
-    # neither trees nor cycles: the engine decides every visited row
+def test_optimal_number_pinned_engine_graphs(monkeypatch, g, value, witness,
+                                             examined, engine_calls):
+    """Neither trees nor cycles: the engine decides every row the
+    neighbour screen keeps, and it keeps few (P4xP4 asked the engine of
+    1,777 rows under the potential screen, C4xC4 of 4,158, C3xP3 of 8)."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return is_solvable(*args, **kwargs)
+
+    monkeypatch.setattr("pebbletools.invariants.is_solvable", counting)
     report = optimal_pebbling_number(g)
     assert (report.value, report.witness.format(), report.distributions_examined) \
         == (value, witness, examined)
+    assert len(calls) == engine_calls
 
 
 def test_optimal_number_budget_mid_layer_path_12():
@@ -573,16 +649,19 @@ def test_optimal_number_budget_mid_layer_path_12():
 
 
 def test_optimal_number_pinned_star_70():
-    # more than 64 vertices: the reject filter screens the star's rows and
-    # the fold decides them (the accept filter, whose masks are Python
-    # integers past 64 vertices, serves only pebbling_number's scan)
+    # more than 64 vertices: the neighbour screen, one slot per neighbour
+    # of the centre, screens the star's rows and the fold decides them (the
+    # accept filter, whose masks are Python integers past 64 vertices,
+    # serves only pebbling_number's scan)
     report = optimal_pebbling_number(STAR_70, max_vertices=70)
     assert (report.value, report.distributions_examined) == (2, 2555)
     assert is_solvable(STAR_70, report.witness, max_vertices=70)
 
 
 def test_optimal_number_budget_path_56():
-    # diameter 55: from layer 1 on the reject filter caps its depth below 55
+    # G - 0 is a 55-vertex path rooted at vertex 1, of depth 54: from layer
+    # 1 on the neighbour screen caps its depth at 52 - k.bit_length() < 54,
+    # which only adds rows, so the stop and its counts stay
     with pytest.raises(BudgetError) as info:
         optimal_pebbling_number(make_path(56), max_vertices=56,
                                 max_distributions=2000)
