@@ -9,37 +9,36 @@ other.
 
 The brute-force searches enumerate distributions in colexicographic order,
 one size-k layer at a time, each layer built from the one before it
-(`compositions_array` with `previous`), and screen them a whole chunk at a
-time, one vectorized screen per search:
+(`compositions_array` with `previous`).  Each search has one screen, run
+on a whole chunk of rows at a time, and one verdict, asked of each row
+the screen keeps:
 
-* reject (the search for a solvable row, `optimal_pebbling_number`): the
-  neighbour screen, the lemma in `engine._fold` read as a bound.  An
+* the search for a solvable row (`optimal_pebbling_number`) screens with
+  the neighbour screen, the lemma in `engine._fold` read as a bound.  An
   empty vertex t none of whose neighbours u has a potential
   sum(c_v * 2^-d_{G-t}(v, u)) of at least 2 in G - t is never reached, so
   the distribution is unsolvable (one matmul per neighbour slot, its
-  depth capped so that every sum is an exact float64 integer);
-* accept (the search for an unsolvable row, `pebbling_number`): if every
-  vertex has a single pile holding 2^dist pebbles, each vertex is
-  reachable on its own, so the distribution is solvable (one bitmask OR
-  per vertex).
+  depth capped so that every sum is an exact float64 integer).  The
+  engine's `is_solvable` is the verdict on every graph.  On paths and
+  cycles the screen keeps only solvable rows below the depth cap, so the
+  engine sees the returned row alone; on the canonically indexed path
+  and cycle the family's orbit test (`is_path_canonical`,
+  `is_cycle_canonical`) first drops every row that is not its orbit's
+  representative.
+* the search for an unsolvable row (`pebbling_number`) keeps the rows the
+  accept filter leaves.  That filter accepts a row in which every vertex
+  has a single pile of 2^dist pebbles (one bitmask OR per vertex), else
+  whose leaf-to-root transport fold, `engine._fold` over the BFS tree of
+  G - t at each neighbour of t, is at least 1 at every target (one column
+  operation per edge, a whole chunk at a time); an accepted row is
+  solvable.  On trees and cycles, where G - t is a forest for every t,
+  the filter is exact (the test suite holds it to the engine's search),
+  so it is the verdict and no row reaches the engine; on every other
+  graph `is_solvable` decides each row it leaves.
 
-A screen only picks the rows worth visiting.  The engine's leaf-to-root
-transport fold (one column operation per edge of the BFS tree of G - t at
-each neighbour of t, a whole chunk at a time) then reads every visited
-row.  On trees and cycles, where G - t is a forest for every t, it is the
-exact verdict (the test suite holds it to the engine's search); on paths
-and cycles the neighbour screen is already exact, so there the fold sees
-only solvable rows (with no orbit test, only in the chunk that returns).
-On every
-other graph it is sound only as an accept: the search for an unsolvable
-row drops the rows it accepts, and the engine's `is_solvable` decides the
-rest one row at a time; the search for a solvable row skips the fold there
-and asks the engine of every visited row.
-
-On the canonically indexed path and cycle the search for a solvable row
-then keeps only orbit representatives, tested one row at a time after
-the verdict (`is_path_canonical`, `is_cycle_canonical`).  On trees and
-cycles no distribution reaches the engine.
+A screen only picks rows: it drops only rows whose verdict is the other
+one, so the first row the verdict keeps is the same row with or without
+it.
 """
 
 from __future__ import annotations
@@ -135,9 +134,8 @@ class GrahamCheck:
 
     @property
     def distributions_examined(self) -> int:
-        return (self.report_g.distributions_examined
-                + self.report_h.distributions_examined
-                + self.report_product.distributions_examined)
+        return sum(r.distributions_examined
+                   for r in (self.report_g, self.report_h, self.report_product))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +253,20 @@ def _neighbour_weights(g: Graph, cap: int) -> np.ndarray:
     return blocks
 
 
-def _cover_filter(g: Graph, k: int):
-    """Accept filter for size-k rows of g: a function from a chunk of rows
-    to the mask of rows in which every target t has a single pile of at
-    least 2^dist(v, t) pebbles.  A row inside the mask is solvable.
+def _accept_filter(g: Graph, k: int):
+    """Accept filter for size-k rows of g, connected: a function from a
+    chunk of rows to the mask of rows that are covered, else accepted by
+    the fold (`_fold_verdict`).  A row is covered when every target t has
+    a single pile of at least 2^dist(v, t) pebbles.  A row inside the mask
+    is solvable; on trees and cycles, where the fold is exact, the mask is
+    the verdict itself.
 
     cover[v][c] is the bitmask of the targets that c pebbles on v reach on
     their own, c * w >= 2^D with w and D from the engine's weight table,
-    so a row is screened by one OR per vertex.  The masks are uint64 up to
-    64 vertices and Python integers beyond.
+    so a row is covered by one OR per vertex.  The masks are uint64 up to
+    64 vertices and Python integers beyond.  A covered row has a fold of at
+    least 1 at every target, so the mask is the fold's accept, and the
+    fold reads only the rows the cover leaves.
     """
     n = g.n
     table = [[0] * (k + 1) for _ in range(n)]
@@ -275,21 +278,26 @@ def _cover_filter(g: Graph, k: int):
     dtype = np.uint64 if n <= 64 else object
     cover = np.array(table, dtype=dtype)
     full = np.array((1 << n) - 1, dtype=dtype)
+    fold = _fold_verdict(g)
 
-    def covers_all(chunk: np.ndarray) -> np.ndarray:
+    def accepts(chunk: np.ndarray) -> np.ndarray:
         hit = cover[0][chunk[:, 0]]
         for v in range(1, n):
             hit |= cover[v][chunk[:, v]]
-        return hit == full
+        accepted = hit == full
+        left = np.flatnonzero(~accepted)
+        accepted[left] = fold(chunk[left])
+        return accepted
 
-    return covers_all
+    return accepts
 
 
 def _fold_verdict(g: Graph):
     """The fold's solvable mask of whole chunks of rows of a connected
     graph: a function from a chunk to the mask of rows in which
     `engine._fold` (lemma and proof there) is at least 1 at every target;
-    rows leave after the first target they miss.
+    rows leave after the first target they miss.  The accept filter asks
+    it of the rows the cover leaves.
 
     A row inside the mask is solvable on every connected graph: m(u), the
     fold of u's BFS tree in G - t, is a number of pebbles that moves inside
@@ -306,18 +314,17 @@ def _fold_verdict(g: Graph):
                 break
             reached = _fold(cols, t, schedule) > 0
             alive, cols = alive[reached], cols[:, reached]
-        solvable = np.zeros(chunk.shape[0], dtype=bool)
-        solvable[alive] = True
-        return solvable
+        return np.bincount(alive, minlength=chunk.shape[0]) > 0
 
     return solvable_rows
 
 
 def _check_connected(g: Graph) -> None:
-    """The one refusal of a disconnected graph, whose every distribution
-    leaves some vertex unreachable: ValueError."""
+    """The one refusal of a disconnected graph: ValueError.  The searches
+    take connected graphs only (their screens, verdicts and bounds assume
+    one), and the pebbling number of a disconnected graph is infinite."""
     if not g.is_connected():
-        raise ValueError("graph is disconnected; no distribution is solvable")
+        raise ValueError("graph is disconnected; searches need a connected graph")
 
 
 class _LayerScanner:
@@ -330,34 +337,28 @@ class _LayerScanner:
     Every stop of either search is one `stop`: a BudgetError with the rows
     examined, the lower bound proven so far and an upper bound that g's
     order and diameter alone prove.
-    One screen per search picks the rows worth visiting: the neighbour
-    screen for a solvable row, the complement of the accept filter for an
-    unsolvable one.  One exact verdict then decides each visited row: on
-    trees and cycles (`exact`) the fold, a whole chunk at a time;
-    elsewhere the engine, one row at a time.  There the search for an
-    unsolvable row first drops the rows the fold accepts, which are
-    solvable; the search for a solvable row builds no fold.  On paths and
-    cycles the neighbour screen is exact: the fold sees only solvable rows,
-    and with no orbit test only in the chunk that returns.  On the
-    canonically indexed path and cycle the search for a solvable row also
-    asks `canonical`, the family's per-row orbit test, of each row in
-    turn; elsewhere `canonical` is None.
+    Each search has one chunk screen and one per-row verdict.  The screen
+    only picks rows: the neighbour screen for a solvable row, the rows the
+    accept filter leaves for an unsolvable one.  The verdict then decides
+    each picked row in turn: the engine's `is_solvable`, except in the
+    search for an unsolvable row on trees and cycles (`exact`), where the
+    accept filter is the verdict and no row reaches the engine.  On the
+    canonically indexed path and cycle the search for a solvable row first
+    asks `canonical`, the family's per-row orbit test, of each picked row;
+    elsewhere `canonical` is None.
     """
 
     def __init__(self, g: Graph, max_vertices: int, budget: int | None,
                  solvable: bool):
         _check_cap(g.n, max_vertices)
         _check_connected(g)
-        self.g = g
-        self.budget = budget
-        self.solvable = solvable
+        self.g, self.budget, self.solvable = g, budget, solvable
         # read as module globals here, so that a patched predicate is seen
         self.canonical = ({"path": is_path_canonical, "cycle": is_cycle_canonical}
                           .get(canonical_family(g)) if solvable else None)
-        # Trees and cycles, where the fold is exact; elsewhere it only accepts.
-        self.exact = (g.edge_count == g.n - 1
-                      or all(g.degree(v) == 2 for v in range(g.n)))
-        self.fold = _fold_verdict(g) if self.exact or not solvable else None
+        # Trees and cycles, where the accept filter is pi's verdict.
+        self.exact = not solvable and (g.edge_count == g.n - 1 or all(
+            g.degree(v) == 2 for v in range(g.n)))
         self.examined = 0
         # The last layer built; `first` builds the next one from it.
         self.layer = None
@@ -377,32 +378,28 @@ class _LayerScanner:
     def first(self, k: int) -> tuple | None:
         """First row of size k whose verdict is `solvable`, or None.
 
+        The screen drops only rows whose verdict is not `solvable`, so the
+        first row in colex order that the verdict keeps is the same row.
         With `canonical` only orbit representatives count; their orbit
         mates are covered by their representative elsewhere in the layer.
-        The fold is the verdict on trees and cycles and, elsewhere, the
-        accept of the search for an unsolvable row: it drops only solvable
-        rows, so the first unsolvable row in colex order is the same row.
         Calls take k = 1, 2, ... in turn: each builds its layer from the
         one before it, kept in `layer`.
         """
-        # A solvable row reaches every target; an unsolvable one is not covered.
-        screen = (_neighbour_screen if self.solvable else _cover_filter)(self.g, k)
+        # A solvable row reaches every target; an unsolvable one is not accepted.
+        screen = (_neighbour_screen if self.solvable else _accept_filter)(self.g, k)
         rows = self.layer = compositions_array(k, self.g.n, self.layer)
         for start in range(0, rows.shape[0], _CHUNK):
             chunk = rows[start:start + _CHUNK]
             self.examined += chunk.shape[0]
             if self.budget is not None and self.examined > self.budget:
                 raise self.stop(f"distribution budget {self.budget} exhausted", k)
-            picked = chunk[screen(chunk) == self.solvable]
-            if self.fold is not None:
-                picked = picked[self.fold(picked) == self.solvable]
-            for array in picked:
+            for array in chunk[screen(chunk) == self.solvable]:
                 row = tuple(array.tolist())
-                if ((self.canonical is None or self.canonical(row))
-                        and (self.exact
-                             or is_solvable(self.g, Distribution(row),
-                                            max_vertices=self.g.n,
-                                            max_pebbles=k) == self.solvable)):
+                if self.canonical is not None and not self.canonical(row):
+                    continue
+                if self.exact or is_solvable(
+                        self.g, Distribution(row), max_vertices=self.g.n,
+                        max_pebbles=k) == self.solvable:
                     return row
         return None
 
@@ -422,8 +419,7 @@ def optimal_pebbling_number(g: Graph, *,
     """
     scanner = _LayerScanner(g, max_vertices, max_distributions, True)
     for k in range(1, max_pebbles + 1):
-        row = scanner.first(k)
-        if row is not None:
+        if (row := scanner.first(k)) is not None:
             return NumberReport("optimal_pebbling", k, Distribution(row),
                                 scanner.examined)
     raise scanner.stop(f"no solvable distribution of size <= {max_pebbles} found",
@@ -447,8 +443,7 @@ def pebbling_number(g: Graph, *,
     scanner = _LayerScanner(g, max_vertices, max_distributions, False)
     witness = Distribution((0,) * g.n)
     for size in range(1, max_value + 1):
-        row = scanner.first(size)
-        if row is None:
+        if (row := scanner.first(size)) is None:
             return NumberReport("pebbling", size, witness, scanner.examined)
         witness = Distribution(row)
     raise scanner.stop(f"pebbling number exceeds cap {max_value}", max_value + 1)
@@ -464,8 +459,7 @@ def product_distribution(dg: Distribution, dh: Distribution) -> Distribution:
     Vertex (v, w) sits at index v * len(dh) + w, matching the product
     graph's encoding.  The size multiplies: |result| = |dg| * |dh|.
     """
-    counts = tuple(a * b for a in dg.counts for b in dh.counts)
-    return Distribution(counts)
+    return Distribution(tuple(a * b for a in dg.counts for b in dh.counts))
 
 
 def graham_optimal_check(g: Graph, h: Graph, *,

@@ -478,7 +478,7 @@ def test_graham_builds_every_pair_before_any_search(capsys, monkeypatch,
     code, out, err = run(capsys, "graham", "path:3,path:3",
                          f"file:{disc},path:2", "--json")
     assert (code, out, calls) == (2, "", [])
-    assert err == "error: graph is disconnected; no distribution is solvable\n"
+    assert err == "error: graph is disconnected; searches need a connected graph\n"
 
 
 def test_graham_oversized_product_exit_3(capsys):

@@ -34,7 +34,7 @@ from pebbletools import (
 from pebbletools import optimal_pebbling_number as _optimal_pebbling_number
 from pebbletools.engine import _fold, _fold_schedule
 from pebbletools.invariants import (
-    _cover_filter,
+    _accept_filter,
     _fold_verdict,
     _LayerScanner,
     _neighbour_screen,
@@ -192,11 +192,12 @@ def test_layer_masks_match_per_row_definitions():
     """The scanner's reject and accept masks agree with their per-row
     definitions on every row: reject (an empty target none of whose
     neighbours has a potential of 2 in G - t) and accept (every target has
-    a pile of 2^dist).  The last two graphs, on layers up to 2, take the
-    other branch of each filter: path:56's components of G - t reach depth
-    54 > 52 - k.bit_length(), so the reject filter caps its depth; the star
-    has more than 64 vertices, so the accept filter's masks are Python
-    integers."""
+    a pile of 2^dist, else `engine._fold` is at least 1 at every target).
+    On trees and cycles the accept mask is also `is_solvable`.  The last
+    two graphs, on layers up to 2, take the other branch of each filter:
+    path:56's components of G - t reach depth 54 > 52 - k.bit_length(), so
+    the reject filter caps its depth; the star has more than 64 vertices,
+    so the accept filter's masks are Python integers."""
     graphs = [cartesian_product(make_path(2), make_path(3)),
               cartesian_product(make_path(3), make_path(3)),
               Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
@@ -205,15 +206,23 @@ def test_layer_masks_match_per_row_definitions():
     cases = [(g, 6) for g in graphs] + [(make_path(56), 2), (STAR_70, 2)]
     for g, max_k in cases:
         dist = [g.distances_from(t) for t in range(g.n)]
+        schedule = _fold_schedule(g)
+        exact = g.edge_count == g.n - 1 or all(g.degree(v) == 2
+                                                for v in range(g.n))
         for k in range(max_k + 1):
             rows = compositions_array(k, g.n)
-            piles = [[(v, c) for v, c in enumerate(row) if c]
-                     for row in rows.tolist()]
-            covers_all = [all(any(c >= 2 ** dist[t][v] for v, c in pile)
-                              for t in range(g.n)) for pile in piles]
+            accepts = [all(any(c >= 2 ** dist[t][v]
+                               for v, c in enumerate(row) if c)
+                           for t in range(g.n))
+                       or all(_fold(row, t, schedule) >= 1 for t in range(g.n))
+                       for row in map(tuple, rows.tolist())]
             assert _neighbour_screen(g, k)(rows).tolist() \
                 == _neighbour_reaches_all(g, rows.tolist())
-            assert _cover_filter(g, k)(rows).tolist() == covers_all
+            assert _accept_filter(g, k)(rows).tolist() == accepts
+            if exact:
+                assert accepts == [is_solvable(g, Distribution(row),
+                                               max_vertices=g.n)
+                                   for row in rows.tolist()]
 
 
 def test_reject_filter_depth_cap_only_adds_rows():
@@ -373,17 +382,83 @@ def test_fold_verdict_matches_engine(g, canonical):
     Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
     cartesian_product(make_cycle(4), make_path(2)),
 ], ids=["grid_2x3", "triangle_with_pendant", "k4", "c4_x_p2"])
-def test_fold_only_accepts_where_some_g_minus_t_has_a_cycle(g):
-    """Where some G - t has a cycle the fold is not exact, and the search
-    for a solvable row builds none; but every row with at most 7 pebbles
-    that the fold accepts is solvable by `is_solvable`."""
-    assert not _LayerScanner(g, g.n, None, False).exact
-    assert _LayerScanner(g, g.n, None, True).fold is None
+def test_fold_only_accepts_where_some_g_minus_t_has_a_cycle(monkeypatch, g):
+    """Where some G - t has a cycle the fold is not exact: the search for
+    an unsolvable row asks the engine of rows, each one the accept filter
+    leaves, and the search for a solvable row runs the same with the fold
+    made to fail.  Every row with at most 7 pebbles that the fold accepts
+    is solvable by `is_solvable`."""
     accepts = _fold_verdict(g)
+    calls = _count_engine_calls(monkeypatch)
+    pebbling_number(g)
+    assert calls and not accepts(np.array([d.counts for d in calls])).any()
+    expected = optimal_pebbling_number(g)
+
+    def no_fold(_):
+        raise AssertionError("the search for a solvable row built a fold")
+
+    monkeypatch.setattr("pebbletools.invariants._fold_verdict", no_fold)
+    assert optimal_pebbling_number(g) == expected
     for k in range(8):
         rows = compositions_array(k, g.n)
         for row in rows[accepts(rows)].tolist():
             assert is_solvable(g, Distribution(row)), row
+
+
+def _count_engine_calls(monkeypatch):
+    """The list of distributions that the searches ask
+    `invariants.is_solvable` about from now on, in order."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return is_solvable(*args, **kwargs)
+
+    monkeypatch.setattr("pebbletools.invariants.is_solvable", counting)
+    return calls
+
+
+def test_optimal_number_asks_the_engine_once_on_paths_and_cycles(monkeypatch):
+    """On paths and cycles the neighbour screen keeps only solvable rows,
+    so the engine is asked of exactly one row, the one returned: on
+    path:1..10, cycle:3..10 and a relabelled copy of each, where the copies
+    have no orbit test."""
+    calls = _count_engine_calls(monkeypatch)
+    for g in _paths_and_cycles(11):
+        calls.clear()
+        report = optimal_pebbling_number(g)
+        assert calls == [report.witness], g
+
+
+def test_pebbling_number_asks_no_engine_on_trees_and_cycles(monkeypatch):
+    """On trees and cycles the accept filter is the verdict: the search
+    for an unsolvable row asks the engine of no row, on path:1..6,
+    cycle:3..6, a relabelled copy of each, two stars and two other trees."""
+    calls = _count_engine_calls(monkeypatch)
+    for g in [*_paths_and_cycles(7), _star(5), _star(8),
+              Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
+              Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5)])]:
+        pebbling_number(g)
+    assert calls == []
+
+
+@pytest.mark.parametrize("g,engine_calls", [
+    (make_path(6), 53),
+    (make_cycle(6), 18),
+    (_star(5), 6),
+    (cartesian_product(make_path(2), make_path(3)), 50),
+], ids=["path6", "cycle6", "star5", "grid_2x3"])
+def test_screen_only_picks_rows(monkeypatch, g, engine_calls):
+    """With the neighbour screen made to keep every row, the search for a
+    solvable row returns the same value, witness and rows examined: the
+    screen only spares the engine rows whose verdict is unsolvable."""
+    expected = optimal_pebbling_number(g)
+    monkeypatch.setattr(
+        "pebbletools.invariants._neighbour_screen",
+        lambda g, k: lambda chunk: np.ones(chunk.shape[0], dtype=bool))
+    calls = _count_engine_calls(monkeypatch)
+    assert optimal_pebbling_number(g) == expected
+    assert len(calls) == engine_calls
 
 
 def _fold_graphs(trees_only=False):
@@ -627,13 +702,7 @@ def test_optimal_number_pinned_engine_graphs(monkeypatch, g, value, witness,
     """Neither trees nor cycles: the engine decides every row the
     neighbour screen keeps, and it keeps few (P4xP4 asked the engine of
     1,777 rows under the potential screen, C4xC4 of 4,158, C3xP3 of 8)."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return is_solvable(*args, **kwargs)
-
-    monkeypatch.setattr("pebbletools.invariants.is_solvable", counting)
+    calls = _count_engine_calls(monkeypatch)
     report = optimal_pebbling_number(g)
     assert (report.value, report.witness.format(), report.distributions_examined) \
         == (value, witness, examined)
@@ -650,9 +719,9 @@ def test_optimal_number_budget_mid_layer_path_12():
 
 def test_optimal_number_pinned_star_70():
     # more than 64 vertices: the neighbour screen, one slot per neighbour
-    # of the centre, screens the star's rows and the fold decides them (the
-    # accept filter, whose masks are Python integers past 64 vertices,
-    # serves only pebbling_number's scan)
+    # of the centre, screens the star's rows and the engine decides each
+    # row it keeps (the accept filter, whose masks are Python integers past
+    # 64 vertices, serves only pebbling_number's scan)
     report = optimal_pebbling_number(STAR_70, max_vertices=70)
     assert (report.value, report.distributions_examined) == (2, 2555)
     assert is_solvable(STAR_70, report.witness, max_vertices=70)
@@ -758,13 +827,7 @@ def test_pebbling_number_asks_the_engine_past_the_fold(monkeypatch):
     leaves 267), and the report does not change."""
     g = cartesian_product(make_path(2), make_path(3))
     expected = pebbling_number(g)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return is_solvable(*args, **kwargs)
-
-    monkeypatch.setattr("pebbletools.invariants.is_solvable", counting)
+    calls = _count_engine_calls(monkeypatch)
     assert pebbling_number(g) == expected
     assert len(calls) <= 9
 
