@@ -217,16 +217,28 @@ def _emit(args: argparse.Namespace, inputs: dict, result: dict,
         print(f"elapsed_ms: {payload['stats']['elapsed_ms']}")
 
 
+def _bounds(exc: PebblingError) -> str:
+    """The suffix of a stopped search's stderr line, for `main` and a
+    sweep row alike: its bounds and the rows it examined, or "" when it
+    carries no bounds."""
+    lower, upper = (getattr(exc, "lower_bound", None),
+                    getattr(exc, "upper_bound", None))
+    if lower is None and upper is None:
+        return ""
+    return f" (lower bound {lower}, upper bound {upper}, {exc.examined} examined)"
+
+
 def _row(row: dict, search) -> dict:
     """A sweep row: `row` updated by `search()`, which returns the
     report's fields and its `examined`.  The one place where a search
     stopped by BudgetError or SizeLimitError becomes a row: its fields
-    stay as `row` has them, and `examined` and `error` come from the
-    exception."""
+    stay as `row` has them, and `examined`, `error` and the stderr suffix
+    `bounds` come from the exception."""
     try:
         return {**row, **search(), "error": None}
     except (BudgetError, SizeLimitError) as exc:
-        return {**row, "examined": getattr(exc, "examined", 0), "error": str(exc)}
+        return {**row, "examined": getattr(exc, "examined", 0), "error": str(exc),
+                "bounds": _bounds(exc)}
 
 
 def _table(args: argparse.Namespace, inputs: dict, header: list[str],
@@ -237,7 +249,8 @@ def _table(args: argparse.Namespace, inputs: dict, header: list[str],
     result key holding ok."""
     for row in rows:
         if row["error"] is not None:
-            print(f"{name.format(**row)}: {row['error']}", file=sys.stderr)
+            print(f"{name.format(**row)}: {row['error']}{row['bounds']}",
+                  file=sys.stderr)
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -556,10 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BudgetError as exc:
-        bounds = ("" if exc.lower_bound is None and exc.upper_bound is None else
-                  f" (lower bound {exc.lower_bound}, upper bound "
-                  f"{exc.upper_bound}, {exc.examined} examined)")
-        print(f"budget exceeded: {exc}{bounds}", file=sys.stderr)
+        print(f"budget exceeded: {exc}{_bounds(exc)}", file=sys.stderr)
         return EXIT_BUDGET
     except SizeLimitError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)

@@ -21,9 +21,10 @@ Both are sound, so verdicts are exact.  Witness move sequences are the
 first found under a fixed order (sources ascending, then neighbors
 ascending), which makes all outputs deterministic.
 
-`_weight_table` (these weights) and `_fold` (the transport fold, exact on
-trees and cycles) are the package's only copies of that arithmetic; the
-brute-force filters reuse both.
+`_weight_table` (these weights) serves `_reach` alone.  `_fold` (the
+transport fold, exact on trees and cycles) is the package's only copy of
+that arithmetic; the brute-force filters reuse it and build their own
+tables from graph distances.
 """
 
 from __future__ import annotations

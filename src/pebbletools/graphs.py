@@ -185,15 +185,16 @@ def cartesian_product(g: Graph, h: Graph, *,
 # edge-list files
 
 
-def read_edge_list(text: str, max_vertices: int | None = None) -> Graph:
+def read_edge_list(text: str, max_vertices: int) -> Graph:
     """Parse an edge-list document.
 
     First significant line: vertex count n.  Every following significant
     line: `u v` for an edge.  Each number is ASCII digits
     (`errors.parse_natural`).  Lines starting with '#' and blank lines are
     ignored.  Duplicate edges are ignored; self-loops and out-of-range
-    endpoints are errors.  An n over max_vertices raises SizeLimitError
-    once every line has parsed, before the graph is built.
+    endpoints are errors.  The vertex cap has no default: an n over
+    max_vertices raises SizeLimitError once every line has parsed, before
+    the graph is built.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -230,7 +231,7 @@ def read_edge_list(text: str, max_vertices: int | None = None) -> Graph:
         raise ValueError(f"invalid edge list: {exc}") from None
 
 
-def load_edge_list(path: str, max_vertices: int | None = None) -> Graph:
+def load_edge_list(path: str, max_vertices: int) -> Graph:
     """Read an edge-list file from disk (see read_edge_list).  An OSError
     from opening it quotes the path through `errors._quote`."""
     try:

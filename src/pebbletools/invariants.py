@@ -17,24 +17,25 @@ the screen keeps:
   the neighbour screen, the lemma in `engine._fold` read as a bound.  An
   empty vertex t none of whose neighbours u has a potential
   sum(c_v * 2^-d_{G-t}(v, u)) of at least 2 in G - t is never reached, so
-  the distribution is unsolvable (one matmul per neighbour slot, its
-  depth capped so that every sum is an exact float64 integer).  The
-  engine's `is_solvable` is the verdict on every graph.  On paths and
-  cycles the screen keeps only solvable rows below the depth cap, so the
-  engine sees the returned row alone; on the canonically indexed path
-  and cycle the family's orbit test (`is_path_canonical`,
-  `is_cycle_canonical`) first drops every row that is not its orbit's
-  representative.
-* the search for an unsolvable row (`pebbling_number`) keeps the rows the
-  accept filter leaves.  That filter accepts a row in which every vertex
-  has a single pile of 2^dist pebbles (one bitmask OR per vertex), else
-  whose leaf-to-root transport fold, `engine._fold` over the BFS tree of
-  G - t at each neighbour of t, is at least 1 at every target (one column
-  operation per edge, a whole chunk at a time); an accepted row is
-  solvable.  On trees and cycles, where G - t is a forest for every t,
-  the filter is exact (the test suite holds it to the engine's search),
-  so it is the verdict and no row reaches the engine; on every other
-  graph `is_solvable` decides each row it leaves.
+  the distribution is unsolvable (one matmul per neighbour slot, weighing
+  each v by its distance to t through u, that depth capped so that every
+  sum is an exact float64 integer).  The engine's `is_solvable` is the
+  verdict on every graph.  On paths and cycles the screen keeps only
+  solvable rows below the depth cap, so the engine sees the returned row
+  alone; on the canonically indexed path and cycle the family's orbit
+  test (`is_path_canonical`, `is_cycle_canonical`) first drops every row
+  that is not its orbit's representative.
+* the search for an unsolvable row (`pebbling_number`) keeps the rows
+  the accept filter leaves.  That filter accepts a row in which every
+  vertex has a single pile of 2^dist pebbles (one OR per vertex of a
+  packed bit table built from the distances), else whose leaf-to-root
+  transport fold, `engine._fold` over the BFS tree of G - t at each
+  neighbour of t, is at least 1 at every target (one column operation
+  per edge, a whole chunk at a time); an accepted row is solvable.  On
+  trees and cycles, where G - t is a forest for every t, the filter is
+  exact (the test suite holds it to the engine's search), so it is the
+  verdict and no row reaches the engine; on every other graph
+  `is_solvable` decides each row it leaves.
 
 A screen only picks rows: it drops only rows whose verdict is the other
 one, so the first row the verdict keeps is the same row with or without
@@ -61,6 +62,7 @@ __all__ = [
 
 import sys
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -70,7 +72,6 @@ from .engine import (
     Distribution,
     _fold,
     _fold_schedule,
-    _weight_table,
     is_solvable,
 )
 from .enumeration import compositions_array, is_cycle_canonical, is_path_canonical
@@ -196,19 +197,21 @@ def _neighbour_screen(g: Graph, k: int):
     paths and cycles every u's component of G - t is such a chain with u at
     its end, so there the mask is the fold's verdict itself.
 
-    Row t of slot j weighs 2^(C + 1) on t and 2^(C - min(d, C)) on u's
-    component, u the j-th neighbour of t, against the one threshold
-    2^(C + 1); C = min(depth, 52 - k.bit_length()) caps the largest d, so a
-    size-k row weighs less than 2^53 and every float64 product and sum is
-    an exact integer.  A capped weight only grows, so the mask keeps every
+    Slot j counts through u, the j-th neighbour of t: with d the distance
+    from v to t through u (`_neighbour_distances`), 0 on t and
+    1 + d_{G-t}(v, u) on u's component, t is reached when
+    sum(c_v * 2^-d) >= 1, that is c_t >= 1 or u's potential reaches 2.
+    Row t weighs 2^(C - min(d, C)) there against the one threshold 2^C;
+    C = min(depth, 53 - k.bit_length()) caps the largest d, so a size-k
+    row weighs less than 2^53 and every float64 product and sum is an
+    exact integer.  A capped weight only grows, so the mask keeps every
     row the uncapped test keeps; below the cap (every search at the
     default caps) it is the uncapped test itself.  Each slot is one n x n
     matmul over the chunk, ORed into one mask of targets by rows.
     """
-    depth = max(int(g.derived(_neighbour_distances).max()), 0)
-    cap = min(depth, 52 - k.bit_length())
+    cap = min(int(g.derived(_neighbour_distances).max()), 53 - k.bit_length())
     blocks = g.derived(_neighbour_weights, cap)
-    threshold = float(2 << cap)
+    threshold = float(1 << cap)
 
     def reaches_all(chunk: np.ndarray) -> np.ndarray:
         cols = chunk.T.astype(np.float64)
@@ -221,21 +224,22 @@ def _neighbour_screen(g: Graph, k: int):
 
 
 def _neighbour_distances(g: Graph) -> np.ndarray:
-    """dist[j, t, v] = d_{G-t}(v, u), u the j-th neighbour of t, read off
-    `engine._fold_schedule`'s BFS trees; -1 where v is outside u's
-    component, and on t itself.  A target with fewer neighbours than the
-    most repeats its last one; a vertex with none (n = 1) has one row of
-    -1s."""
+    """dist[j, t, v], the distance from v to t through u, u the j-th
+    neighbour of t: 0 on t, 1 + d_{G-t}(v, u) on u's component, read off
+    `engine._fold_schedule`'s BFS trees, and -1 elsewhere.  A target with
+    fewer neighbours than the most repeats its last one; a vertex with
+    none (n = 1) has one row, 0 on itself."""
     per_target = []
-    for roots in g.derived(_fold_schedule):
+    for t, roots in enumerate(g.derived(_fold_schedule)):
+        base = [0 if v == t else -1 for v in range(g.n)]
         rows = []
         for u, pairs in roots:
-            row = [-1] * g.n
-            row[u] = 0
+            row = base.copy()
+            row[u] = 1
             for c, p in reversed(pairs):
                 row[c] = row[p] + 1
             rows.append(row)
-        per_target.append(rows or [[-1] * g.n])
+        per_target.append(rows or [base])
     slots = max(map(len, per_target))
     return np.array([[rows[min(j, len(rows) - 1)] for rows in per_target]
                      for j in range(slots)])
@@ -243,14 +247,10 @@ def _neighbour_distances(g: Graph) -> np.ndarray:
 
 def _neighbour_weights(g: Graph, cap: int) -> np.ndarray:
     """The weight blocks of `_neighbour_screen` at depth cap `cap`: per slot
-    j, row t weighs 2^(cap + 1) on t and 2^(cap - min(d, cap)) on v at
-    d = dist[j, t, v] >= 0, and 0 elsewhere."""
+    j, row t weighs 2^(cap - min(d, cap)) on v at d = dist[j, t, v] >= 0,
+    and 0 elsewhere."""
     dist = g.derived(_neighbour_distances)
-    blocks = np.where(dist < 0, 0.0,
-                      np.ldexp(1.0, cap - np.minimum(dist, cap)))
-    diagonal = np.arange(g.n)
-    blocks[:, diagonal, diagonal] = float(2 << cap)
-    return blocks
+    return np.where(dist < 0, 0.0, np.ldexp(1.0, cap - np.minimum(dist, cap)))
 
 
 def _accept_filter(g: Graph, k: int):
@@ -261,30 +261,24 @@ def _accept_filter(g: Graph, k: int):
     is solvable; on trees and cycles, where the fold is exact, the mask is
     the verdict itself.
 
-    cover[v][c] is the bitmask of the targets that c pebbles on v reach on
-    their own, c * w >= 2^D with w and D from the engine's weight table,
-    so a row is covered by one OR per vertex.  The masks are uint64 up to
-    64 vertices and Python integers beyond.  A covered row has a fold of at
-    least 1 at every target, so the mask is the fold's accept, and the
-    fold reads only the rows the cover leaves.
+    Bit t of cover[v, c], packed little-endian into bytes, says that c
+    pebbles on v reach t on their own, c >= 2^dist(v, t); a row is
+    covered when the OR of cover[v, c_v] over v has every target's bit:
+    one gather and OR per vertex, in the same bytes at every order n.  A
+    covered row has a fold of at least 1 at every target, so the mask is
+    the fold's accept, and the fold reads only the rows the cover leaves.
     """
-    n = g.n
-    table = [[0] * (k + 1) for _ in range(n)]
-    for t, (weights, depth) in enumerate(g.derived(_weight_table)):
-        for v, w in enumerate(weights):
-            if w:
-                for c in range((1 << depth) // w, k + 1):
-                    table[v][c] |= 1 << t
-    dtype = np.uint64 if n <= 64 else object
-    cover = np.array(table, dtype=dtype)
-    full = np.array((1 << n) - 1, dtype=dtype)
+    dist = np.array([g.distances_from(v) for v in range(g.n)])
+    cover = np.packbits(np.exp2(dist)[:, None] <= np.arange(k + 1)[:, None],
+                        axis=2, bitorder="little")
+    full = np.packbits(np.ones(g.n, dtype=bool), bitorder="little")
     fold = _fold_verdict(g)
 
     def accepts(chunk: np.ndarray) -> np.ndarray:
-        hit = cover[0][chunk[:, 0]]
-        for v in range(1, n):
-            hit |= cover[v][chunk[:, v]]
-        accepted = hit == full
+        hit = cover[0].take(chunk[:, 0], axis=0)
+        for v in range(1, g.n):
+            hit |= cover[v].take(chunk[:, v], axis=0)
+        accepted = (hit == full).all(axis=1)
         left = np.flatnonzero(~accepted)
         accepted[left] = fold(chunk[left])
         return accepted
@@ -333,7 +327,8 @@ class _LayerScanner:
 
     A graph over `max_vertices` or disconnected is refused up front.  Rows
     are charged against the budget a whole chunk at a time, before the
-    chunk is screened, so `examined` counts every row the search touched.
+    chunk is built or screened, so `examined` counts every row the search
+    touched.
     Every stop of either search is one `stop`: a BudgetError with the rows
     examined, the lower bound proven so far and an upper bound that g's
     order and diameter alone prove.
@@ -365,7 +360,7 @@ class _LayerScanner:
         # f_opt <= ceil(2n/3) (Bunde et al.).  pi <= (n - 1)(2^D - 1) + 1, D
         # the largest depth: that many pebbles with an empty target put 2^D
         # on some other vertex, which can move one pebble to the target.
-        depth = max(d for _, d in g.derived(_weight_table))
+        depth = max(max(g.distances_from(v)) for v in range(g.n))
         self.upper_bound = (-(-2 * g.n // 3) if solvable
                             else (g.n - 1) * ((1 << depth) - 1) + 1)
 
@@ -383,16 +378,19 @@ class _LayerScanner:
         With `canonical` only orbit representatives count; their orbit
         mates are covered by their representative elsewhere in the layer.
         Calls take k = 1, 2, ... in turn: each builds its layer from the
-        one before it, kept in `layer`.
+        one before it, kept in `layer`, once the budget allows its first
+        chunk, so a stop builds no layer it cannot charge.
         """
         # A solvable row reaches every target; an unsolvable one is not accepted.
         screen = (_neighbour_screen if self.solvable else _accept_filter)(self.g, k)
-        rows = self.layer = compositions_array(k, self.g.n, self.layer)
-        for start in range(0, rows.shape[0], _CHUNK):
-            chunk = rows[start:start + _CHUNK]
-            self.examined += chunk.shape[0]
+        size = comb(k + self.g.n - 1, k)
+        for start in range(0, size, _CHUNK):
+            self.examined += min(_CHUNK, size - start)
             if self.budget is not None and self.examined > self.budget:
                 raise self.stop(f"distribution budget {self.budget} exhausted", k)
+            if not start:
+                self.layer = compositions_array(k, self.g.n, self.layer)
+            chunk = self.layer[start:start + _CHUNK]
             for array in chunk[screen(chunk) == self.solvable]:
                 row = tuple(array.tolist())
                 if self.canonical is not None and not self.canonical(row):

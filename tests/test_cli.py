@@ -378,6 +378,26 @@ def test_verify_budget_annotates_and_exits_3(capsys):
     assert payload["stats"]["distributions_examined"] == 187
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["verify", "path", "--max-n", "6", "--budget-states", "30"],
+     "n=4: distribution budget 30 exhausted "
+     "(lower bound 3, upper bound 3, 34 examined)\n"
+     "n=5: distribution budget 30 exhausted "
+     "(lower bound 3, upper bound 4, 55 examined)\n"
+     "n=6: distribution budget 30 exhausted "
+     "(lower bound 3, upper bound 4, 83 examined)\n"),
+    (["graham", "path:3,path:3", "--budget-states", "200"],
+     "path:3 x path:3: f_opt(G x H): distribution budget 200 exhausted "
+     "(lower bound 3, upper bound 6, 237 examined)\n"),
+], ids=["verify", "graham"])
+def test_stopped_sweep_rows_print_bounds_on_stderr(capsys, argv, err):
+    # the suffix main's `budget exceeded:` line carries; stdout keeps the
+    # bare message
+    code, out, stderr = run(capsys, *argv)
+    assert (code, stderr) == (3, err)
+    assert "examined)" not in out
+
+
 @pytest.mark.parametrize("family,max_n", [("cycle", "2"), ("path", "0")])
 def test_verify_empty_family_range_exit_2(capsys, family, max_n):
     code, out, err = run(capsys, "verify", family, "--max-n", max_n, "--json")

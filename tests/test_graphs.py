@@ -174,23 +174,23 @@ def test_read_edge_list_basic():
 
     3 0
     """
-    g = read_edge_list(text)
+    g = read_edge_list(text, 4)
     assert g == make_cycle(4)
 
 
 def test_read_edge_list_bad_header():
     with pytest.raises(ValueError, match="line 1"):
-        read_edge_list("x\n0 1\n")
+        read_edge_list("x\n0 1\n", 20)
 
 
 def test_read_edge_list_bad_edge_line():
     with pytest.raises(ValueError, match="line 3"):
-        read_edge_list("3\n0 1\n1 2 3\n")
+        read_edge_list("3\n0 1\n1 2 3\n", 20)
 
 
 def test_read_edge_list_out_of_range():
     with pytest.raises(ValueError):
-        read_edge_list("2\n0 5\n")
+        read_edge_list("2\n0 5\n", 20)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -212,7 +212,7 @@ def test_read_edge_list_out_of_range():
 ])
 def test_read_edge_list_malformed(text, message):
     with pytest.raises(ValueError, match=message):
-        read_edge_list(text)
+        read_edge_list(text, 20)
 
 
 def test_read_edge_list_refuses_count_over_cap_before_building():
@@ -223,9 +223,12 @@ def test_read_edge_list_refuses_count_over_cap_before_building():
     with pytest.raises(ValueError, match="line 2"):
         read_edge_list("100000000\n0 x\n", max_vertices=20)
     assert read_edge_list("3\n0 1\n1 2\n2 0\n", max_vertices=3) == make_cycle(3)
+    # the cap has no uncapped default
+    with pytest.raises(TypeError):
+        read_edge_list("3\n0 1\n1 2\n2 0\n")
 
 
 def test_load_edge_list_reads_file(tmp_path):
     path = tmp_path / "tri.edges"
     path.write_text("3\n0 1\n1 2\n2 0\n")
-    assert load_edge_list(str(path)) == make_cycle(3)
+    assert load_edge_list(str(path), 3) == make_cycle(3)

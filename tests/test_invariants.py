@@ -194,16 +194,19 @@ def test_layer_masks_match_per_row_definitions():
     neighbours has a potential of 2 in G - t) and accept (every target has
     a pile of 2^dist, else `engine._fold` is at least 1 at every target).
     On trees and cycles the accept mask is also `is_solvable`.  The last
-    two graphs, on layers up to 2, take the other branch of each filter:
-    path:56's components of G - t reach depth 54 > 52 - k.bit_length(), so
-    the reject filter caps its depth; the star has more than 64 vertices,
-    so the accept filter's masks are Python integers."""
+    graphs run on layers up to 2.  On path:56 the distances through a
+    neighbour reach 55 > 53 - k.bit_length(), so the reject filter caps its
+    depth.  The stars of 9, 64, 65 and 70 vertices pack the accept filter's
+    targets into 2, 8, 9 and 9 bytes per row; the 9-vertex star's centre
+    is its last vertex, the one target in its second byte."""
     graphs = [cartesian_product(make_path(2), make_path(3)),
               cartesian_product(make_path(3), make_path(3)),
               Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
               Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])]
     graphs += _paths_and_cycles(8)
-    cases = [(g, 6) for g in graphs] + [(make_path(56), 2), (STAR_70, 2)]
+    stars = [Graph(n, [(n - 1, v) for v in range(n - 1)]) for n in (9, 64, 65)]
+    cases = [(g, 6) for g in graphs] + [(g, 2) for g in
+                                        [make_path(56), *stars, STAR_70]]
     for g, max_k in cases:
         dist = [g.distances_from(t) for t in range(g.n)]
         schedule = _fold_schedule(g)
@@ -717,11 +720,28 @@ def test_optimal_number_budget_mid_layer_path_12():
     assert info.value.upper_bound == 8  # ceil(2 * 12 / 3)
 
 
+def test_budget_stop_builds_no_layer_it_cannot_charge(monkeypatch):
+    # layer 8 of path:12 has 75,582 rows; its first chunk of 65,536 passes
+    # the budget of 70,000, so the stop comes before the layer is built
+    built = []
+
+    def recording(total, length, previous=None):
+        built.append(total)
+        return compositions_array(total, length, previous)
+
+    monkeypatch.setattr("pebbletools.invariants.compositions_array", recording)
+    with pytest.raises(BudgetError) as info:
+        optimal_pebbling_number(make_path(12), max_distributions=70000)
+    assert (info.value.examined, info.value.lower_bound,
+            info.value.upper_bound) == (115923, 8, 8)
+    assert built == [1, 2, 3, 4, 5, 6, 7]
+
+
 def test_optimal_number_pinned_star_70():
     # more than 64 vertices: the neighbour screen, one slot per neighbour
     # of the centre, screens the star's rows and the engine decides each
-    # row it keeps (the accept filter, whose masks are Python integers past
-    # 64 vertices, serves only pebbling_number's scan)
+    # row it keeps (the accept filter, whose cover packs the 70 targets
+    # into 9 bytes per row, serves only pebbling_number's scan)
     report = optimal_pebbling_number(STAR_70, max_vertices=70)
     assert (report.value, report.distributions_examined) == (2, 2555)
     assert is_solvable(STAR_70, report.witness, max_vertices=70)
