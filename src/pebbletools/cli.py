@@ -27,10 +27,12 @@ builds is parsed under the command's vertex cap, so a `path:`, `cycle:`,
 `fopt --construct` builds no graph: it takes `path:N` or `cycle:N` and
 reads the order alone; an order over 10**6 is a size cap error, refused
 before its witness is built.
-Each family's closed forms are named once, in _CLOSED_FORMS, for
-`--construct` and `verify` alike.  Each rule on a query's path has one
-place: `_SpecParser.family` is the one reader of a `path:` or `cycle:`
-prefix, for a spec and for `--construct`; `_row` is the one place where
+Paths and cycles share one closed form, `formula_fopt`, and one
+construction, `construct_optimal_distribution`, for `--construct` and
+`verify` alike.  Each rule on a query's path has one place:
+`_SpecParser.family` is the one reader of a `path:` or `cycle:` prefix
+(the families of `graphs._LEAST_ORDER`), for a spec and for
+`--construct`; `_row` is the one place where
 a sweep's search stopped by a budget or a cap becomes a row with its
 `examined` and `error`.
 
@@ -49,6 +51,7 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Iterable
 
 from .engine import (MAX_ENGINE_PEBBLES, MAX_ENGINE_VERTICES, Distribution,
                      is_reachable, is_solvable)
@@ -66,10 +69,8 @@ from .graphs import (
 from .invariants import (
     MAX_GRAHAM_PRODUCT_VERTICES,
     _check_connected,
-    construct_optimal_cycle_distribution,
-    construct_optimal_path_distribution,
-    formula_fopt_cycle,
-    formula_fopt_path,
+    construct_optimal_distribution,
+    formula_fopt,
     graham_optimal_check,
     optimal_pebbling_number,
 )
@@ -133,7 +134,7 @@ class _SpecParser:
     def family(self) -> str | None:
         """Read a `path:` or `cycle:` prefix and return its family; None,
         with nothing read, before any other text."""
-        return next((f for f in _CLOSED_FORMS if self.literal(f"{f}:")), None)
+        return next((f for f in _LEAST_ORDER if self.literal(f"{f}:")), None)
 
     def spec(self) -> Graph:
         family = self.family()
@@ -198,10 +199,12 @@ def parse_graph_spec(s: str, max_vertices: int) -> Graph:
 
 
 def _emit(args: argparse.Namespace, inputs: dict, result: dict,
-          human_lines: list[str], *, states: int = 0, examined: int = 0) -> None:
+          human_lines: Iterable[str], *, states: int = 0,
+          examined: int = 0) -> None:
     """Print the report of args.command as JSON or as human_lines; every
-    command ends here.  --timing reports the time since `main` stamped
-    args.started."""
+    command ends here.  The JSON is written as it is encoded, so a `_Rows`
+    in `result` is never held whole.  --timing reports the time since
+    `main` stamped args.started."""
     payload = {"command": args.command, "inputs": inputs, "result": result,
                "stats": {"states_explored": states,
                          "distributions_examined": examined}}
@@ -209,7 +212,8 @@ def _emit(args: argparse.Namespace, inputs: dict, result: dict,
         payload["stats"]["elapsed_ms"] = int(
             (time.perf_counter() - args.started) * 1000)
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+        print()
         return
     for line in human_lines:
         print(line)
@@ -241,14 +245,35 @@ def _row(row: dict, search) -> dict:
                 "bounds": _bounds(exc)}
 
 
+class _Rows(list):
+    """The rows `make(x)` for each x of `items`, made afresh on every pass
+    and never held whole.  json.dump under `indent` writes a list through
+    its `__iter__`, after `__bool__` has told it the list is not empty;
+    the list itself stays empty, so only iteration and truth see the
+    rows, not `len` or indexing."""
+
+    def __init__(self, make, items):
+        self.make, self.items = make, items
+
+    def __iter__(self):
+        return map(self.make, self.items)
+
+    def __bool__(self):
+        return bool(self.items)
+
+
 def _table(args: argparse.Namespace, inputs: dict, header: list[str],
            rows: list[dict], name: str, summary: str, ok: bool,
-           human_lines: list[str]) -> int:
+           human_lines: Iterable[str]) -> int:
     """Report a sweep's rows as CSV or through `_emit`, and return its exit
     code; name formats a row for its stderr error line, summary is the
-    result key holding ok."""
+    result key holding ok.  Rows are read in two passes, one for stderr
+    and one for the output, so a `_Rows` makes each unheld row twice."""
+    examined, failed = 0, False
     for row in rows:
+        examined += row["examined"]
         if row["error"] is not None:
+            failed = True
             print(f"{name.format(**row)}: {row['error']}{row['bounds']}",
                   file=sys.stderr)
     if args.csv:
@@ -258,11 +283,11 @@ def _table(args: argparse.Namespace, inputs: dict, header: list[str],
             ["" if c is None else str(c).lower() if isinstance(c, bool) else c
              for c in (r[k] for k in header)] for r in rows)
     else:
-        result = {"rows": [{k: r[k] for k in header + ["error"]} for r in rows],
+        keys = header + ["error"]
+        result = {"rows": _Rows(lambda r: {k: r[k] for k in keys}, rows),
                   summary: ok}
-        _emit(args, inputs, result, human_lines,
-              examined=sum(r["examined"] for r in rows))
-    if any(row["error"] is not None for row in rows):
+        _emit(args, inputs, result, human_lines, examined=examined)
+    if failed:
         return EXIT_BUDGET
     return EXIT_OK if ok else EXIT_FAILURE
 
@@ -270,11 +295,6 @@ def _table(args: argparse.Namespace, inputs: dict, header: list[str],
 # ---------------------------------------------------------------------------
 # fopt
 
-# Each family's closed forms: f_opt(n) and an optimal distribution.
-_CLOSED_FORMS = {
-    "path": (formula_fopt_path, construct_optimal_path_distribution),
-    "cycle": (formula_fopt_cycle, construct_optimal_cycle_distribution),
-}
 # The largest order whose witness `fopt --construct` builds.
 _MAX_CONSTRUCT_VERTICES = 10**6
 
@@ -288,7 +308,8 @@ def cmd_fopt(args: argparse.Namespace) -> int:
             raise ValueError("--construct requires a path or cycle spec")
         n = parser.order()
         parser.end()
-        value, witness = (form(n) for form in _CLOSED_FORMS[family])
+        value = formula_fopt(family, n)
+        witness = construct_optimal_distribution(family, n)
         examined, note = 0, " (closed form)"
     else:
         g = parse_graph_spec(args.spec, args.caps["max_vertices"])
@@ -308,7 +329,7 @@ def cmd_fopt(args: argparse.Namespace) -> int:
 
 
 def _verify_row(args: argparse.Namespace, n: int) -> dict:
-    formula = _CLOSED_FORMS[args.family][0](n)
+    formula = formula_fopt(args.family, n)
 
     def search():
         g = parse_graph_spec(f"{args.family}:{n}", args.caps["max_vertices"])
@@ -326,17 +347,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < start_n:
         raise ValueError(f"--max-n must be at least {start_n} for the "
                          f"{args.family} family, got {args.max_n}")
-    rows = [_verify_row(args, n) for n in range(start_n, args.max_n + 1)]
-    all_match = all(row["match"] for row in rows)
-    lines = [f"{'n':>4} {'formula':>8} {'brute':>6} match"]
-    for r in rows:
-        brute = "-" if r["brute_force"] is None else r["brute_force"]
-        lines.append(f"{r['n']:>4} {r['formula']:>8} {brute:>6} "
-                     f"{str(r['match']).lower()}")
-    lines.append(f"all rows match: {str(all_match).lower()}")
+    # A row past the vertex cap is an error row that depends on n alone,
+    # so it is made on each pass rather than held; it does not match.
+    cap = args.caps["max_vertices"]
+    held = {n: _verify_row(args, n)
+            for n in range(start_n, min(cap, args.max_n) + 1)}
+    rows = _Rows(lambda n: held.get(n) or _verify_row(args, n),
+                 range(start_n, args.max_n + 1))
+    all_match = args.max_n <= cap and all(r["match"] for r in held.values())
+
+    def lines():
+        yield f"{'n':>4} {'formula':>8} {'brute':>6} match"
+        for r in rows:
+            brute = "-" if r["brute_force"] is None else r["brute_force"]
+            yield (f"{r['n']:>4} {r['formula']:>8} {brute:>6} "
+                   f"{str(r['match']).lower()}")
+        yield f"all rows match: {str(all_match).lower()}"
+
     return _table(args, {"family": args.family, "max_n": args.max_n},
                   ["n", "formula", "brute_force", "match"], rows, "n={n}",
-                  "all_match", all_match, lines)
+                  "all_match", all_match, lines())
 
 
 # ---------------------------------------------------------------------------

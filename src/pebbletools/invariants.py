@@ -1,8 +1,9 @@
 """Pebbling invariants: closed-form values, constructions, and brute force.
 
-Two independent routes to the same numbers live here.  The closed forms
-(`formula_fopt_path`, `formula_fopt_cycle`) and the explicit distribution
-builders rest on the decomposition n = 3t + r; the brute-force searches
+Two independent routes to the same numbers live here.  The closed form
+(`formula_fopt`) and the explicit distribution builder
+(`construct_optimal_distribution`), each shared by paths and cycles, rest
+on the decomposition n = 3t + r; the brute-force searches
 (`optimal_pebbling_number`, `pebbling_number`) rest on exact verdicts for
 every distribution.  The test suite holds the two routes against each
 other.
@@ -50,10 +51,8 @@ __all__ = [
     "MAX_PEBBLING_VALUE",
     "MAX_PEBBLING_VERTICES",
     "NumberReport",
-    "construct_optimal_cycle_distribution",
-    "construct_optimal_path_distribution",
-    "formula_fopt_cycle",
-    "formula_fopt_path",
+    "construct_optimal_distribution",
+    "formula_fopt",
     "graham_optimal_check",
     "optimal_pebbling_number",
     "pebbling_number",
@@ -143,39 +142,26 @@ class GrahamCheck:
 # closed forms
 
 
-def formula_fopt_path(n: int) -> int:
-    """Optimal pebbling number of the n-vertex path: 2t + r for n = 3t + r."""
-    _check_family_order("path", n)
+def formula_fopt(family: str, n: int) -> int:
+    """Optimal pebbling number of the n-vertex path or cycle, `family`
+    "path" or "cycle": 2t + r for n = 3t + r, the same number for both."""
+    _check_family_order(family, n)
     return 2 * (n // 3) + n % 3
 
 
-def formula_fopt_cycle(n: int) -> int:
-    """Optimal pebbling number of the n-vertex cycle (n >= 3): 2t + r."""
-    _check_family_order("cycle", n)
-    return formula_fopt_path(n)
-
-
-def construct_optimal_path_distribution(n: int) -> Distribution:
-    """Solvable distribution of size 2t + r on the n-vertex path.
+def construct_optimal_distribution(family: str, n: int) -> Distribution:
+    """Solvable distribution of size 2t + r on the n-vertex path or cycle.
 
     Two pebbles on the middle vertex of each block of three, one pebble on
     every leftover vertex.  Every vertex ends up occupied or adjacent to a
-    two-pebble pile, so the distribution is solvable by a single move.
-    An n over sys.maxsize, which no list can index, raises SizeLimitError.
+    two-pebble pile, so the distribution is solvable by a single move; the
+    cycle contains the path, so it is solvable there too.  An n over
+    sys.maxsize, which no sequence can index, raises SizeLimitError.
     """
     _check_cap(n, sys.maxsize)
-    _check_family_order("path", n)
+    _check_family_order(family, n)
     t, r = divmod(n, 3)
-    counts = [0] * n
-    counts[1:3 * t:3] = [2] * t
-    counts[3 * t:] = [1] * r
-    return Distribution(tuple(counts))
-
-
-def construct_optimal_cycle_distribution(n: int) -> Distribution:
-    """Solvable distribution of size 2t + r on the n-vertex cycle (n >= 3)."""
-    _check_family_order("cycle", n)
-    return construct_optimal_path_distribution(n)
+    return Distribution((0, 2, 0) * t + (1,) * r)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +195,10 @@ def _neighbour_screen(g: Graph, k: int):
     default caps) it is the uncapped test itself.  Each slot is one n x n
     matmul over the chunk, ORed into one mask of targets by rows.
     """
-    cap = min(int(g.derived(_neighbour_distances).max()), 53 - k.bit_length())
-    blocks = g.derived(_neighbour_weights, cap)
+    dist = g.derived(_neighbour_distances)
+    cap = min(int(dist.max()), 53 - k.bit_length())
+    # Per slot j, row t weighs 2^(cap - min(d, cap)) on v at d >= 0, else 0.
+    blocks = np.where(dist < 0, 0.0, np.ldexp(1.0, cap - np.minimum(dist, cap)))
     threshold = float(1 << cap)
 
     def reaches_all(chunk: np.ndarray) -> np.ndarray:
@@ -243,14 +231,6 @@ def _neighbour_distances(g: Graph) -> np.ndarray:
     slots = max(map(len, per_target))
     return np.array([[rows[min(j, len(rows) - 1)] for rows in per_target]
                      for j in range(slots)])
-
-
-def _neighbour_weights(g: Graph, cap: int) -> np.ndarray:
-    """The weight blocks of `_neighbour_screen` at depth cap `cap`: per slot
-    j, row t weighs 2^(cap - min(d, cap)) on v at d = dist[j, t, v] >= 0,
-    and 0 elsewhere."""
-    dist = g.derived(_neighbour_distances)
-    return np.where(dist < 0, 0.0, np.ldexp(1.0, cap - np.minimum(dist, cap)))
 
 
 def _accept_filter(g: Graph, k: int):
@@ -357,11 +337,12 @@ class _LayerScanner:
         self.examined = 0
         # The last layer built; `first` builds the next one from it.
         self.layer = None
-        # f_opt <= ceil(2n/3) (Bunde et al.).  pi <= (n - 1)(2^D - 1) + 1, D
-        # the largest depth: that many pebbles with an empty target put 2^D
-        # on some other vertex, which can move one pebble to the target.
+        # f_opt <= ceil(2n/3) (Bunde et al.), the path's number.  pi <=
+        # (n - 1)(2^D - 1) + 1, D the largest depth: that many pebbles with
+        # an empty target put 2^D on some other vertex, which can move one
+        # pebble to the target.
         depth = max(max(g.distances_from(v)) for v in range(g.n))
-        self.upper_bound = (-(-2 * g.n // 3) if solvable
+        self.upper_bound = (formula_fopt("path", g.n) if solvable
                             else (g.n - 1) * ((1 << depth) - 1) + 1)
 
     def stop(self, message: str, lower_bound: int) -> BudgetError:

@@ -17,12 +17,10 @@ from pebbletools import (
     NotApplicableError,
     cartesian_product,
     collapse_two_pebble_block_path,
-    construct_optimal_cycle_distribution,
-    construct_optimal_path_distribution,
+    construct_optimal_distribution,
     cycle_reduce_big_pile,
     cycle_remove_202_or_220,
-    formula_fopt_cycle,
-    formula_fopt_path,
+    formula_fopt,
     graham_optimal_check,
     is_reachable,
     is_solvable,
@@ -64,9 +62,9 @@ def solvable_distributions(g, max_size):
 
 def test_criterion_01_path_closed_form_matches_brute_force():
     start = time.perf_counter()
-    mismatches = [(n, formula_fopt_path(n), brute_fopt_path(n))
+    mismatches = [(n, formula_fopt("path", n), brute_fopt_path(n))
                   for n in range(1, 13)
-                  if formula_fopt_path(n) != brute_fopt_path(n)]
+                  if formula_fopt("path", n) != brute_fopt_path(n)]
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 300
     detail = (f"n=1..12 exact match, {elapsed:.2f}s"
@@ -76,9 +74,9 @@ def test_criterion_01_path_closed_form_matches_brute_force():
 
 def test_criterion_02_cycle_closed_form_matches_brute_force():
     start = time.perf_counter()
-    mismatches = [(n, formula_fopt_cycle(n), brute_fopt_cycle(n))
+    mismatches = [(n, formula_fopt("cycle", n), brute_fopt_cycle(n))
                   for n in range(3, 13)
-                  if formula_fopt_cycle(n) != brute_fopt_cycle(n)]
+                  if formula_fopt("cycle", n) != brute_fopt_cycle(n)]
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 300
     detail = (f"n=3..12 exact match, {elapsed:.2f}s"
@@ -90,13 +88,13 @@ def test_criterion_03_constructions_solvable_with_exact_size():
     start = time.perf_counter()
     bad = []
     for n in range(1, 31):
-        d = construct_optimal_path_distribution(n)
-        if d.size != formula_fopt_path(n) or not is_solvable(
+        d = construct_optimal_distribution("path", n)
+        if d.size != formula_fopt("path", n) or not is_solvable(
                 make_path(n), d, max_vertices=30):
             bad.append(("path", n))
     for n in range(3, 31):
-        d = construct_optimal_cycle_distribution(n)
-        if d.size != formula_fopt_cycle(n) or not is_solvable(
+        d = construct_optimal_distribution("cycle", n)
+        if d.size != formula_fopt("cycle", n) or not is_solvable(
                 make_cycle(n), d, max_vertices=30):
             bad.append(("cycle", n))
     elapsed = time.perf_counter() - start

@@ -1,7 +1,10 @@
 """Tests for the command-line interface: grammar, commands, output, exit codes."""
 
 import argparse
+import contextlib
 import errno
+import functools
+import io
 import json
 import os
 import re
@@ -9,11 +12,12 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from pebbletools.cli import _CLOSED_FORMS, _build_parser, main, parse_graph_spec
+from pebbletools.cli import _build_parser, main, parse_graph_spec
 from pebbletools import (
     MAX_ENGINE_PEBBLES,
     MAX_ENGINE_VERTICES,
@@ -21,10 +25,8 @@ from pebbletools import (
     Move,
     SurgeryResult,
     cartesian_product,
-    construct_optimal_cycle_distribution,
-    construct_optimal_path_distribution,
-    formula_fopt_cycle,
-    formula_fopt_path,
+    construct_optimal_distribution,
+    formula_fopt,
     make_cycle,
     make_path,
     replay,
@@ -163,7 +165,7 @@ def test_fopt_construct_path(capsys):
     code, out, _ = run(capsys, "fopt", "path:30", "--construct", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["result"]["value"] == formula_fopt_path(30)
+    assert payload["result"]["value"] == formula_fopt("path", 30)
     assert sum(payload["result"]["witness"]) == payload["result"]["value"]
     # the emitted construction must itself pass the solvable command
     dist = ",".join(str(c) for c in payload["result"]["witness"])
@@ -192,7 +194,7 @@ def test_fopt_construct_builds_no_graph(capsys, monkeypatch):
     assert code == 0
     payload = {"command": "fopt",
                "inputs": {"construct": True, "spec": "path:30"},
-               "result": {"value": formula_fopt_path(30),
+               "result": {"value": formula_fopt("path", 30),
                           "witness": [0, 2, 0] * 10},
                "stats": {"distributions_examined": 0, "states_explored": 0}}
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -221,20 +223,19 @@ def test_fopt_construct_bad_order_exit_2(capsys, spec, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("family,least,make,formula,construct", [
-    ("path", 1, make_path, formula_fopt_path,
-     construct_optimal_path_distribution),
-    ("cycle", 3, make_cycle, formula_fopt_cycle,
-     construct_optimal_cycle_distribution),
+@pytest.mark.parametrize("family,least,make", [
+    ("path", 1, make_path),
+    ("cycle", 3, make_cycle),
 ], ids=["path", "cycle"])
 def test_each_family_refuses_an_order_below_its_least_with_one_message(
-        capsys, family, least, make, formula, construct):
+        capsys, family, least, make):
     """The family's constructor, closed form and construction, and `fopt`
     with and without --construct, refuse the order below the family's
     least with the same message, and take the least."""
     message = (f"{family} needs at least {least} "
                f"{'vertex' if least == 1 else 'vertices'}, got {least - 1}")
-    for build in (make, formula, construct):
+    for build in (make, functools.partial(formula_fopt, family),
+                  functools.partial(construct_optimal_distribution, family)):
         with pytest.raises(ValueError) as info:
             build(least - 1)
         assert str(info.value) == message
@@ -256,13 +257,10 @@ def test_fopt_construct_refuses_an_order_over_its_cap(capsys, monkeypatch,
                                                       family):
     # a witness of 10^10 counts would take about 80 GB; one over 10^6 is
     # refused before the list is built
-    def refuse(n):
+    def refuse(family, n):
         raise AssertionError("--construct built a witness over its cap")
 
-    # path's closed form is held by _CLOSED_FORMS; cycle's calls path's
-    monkeypatch.setitem(_CLOSED_FORMS, "path", (formula_fopt_path, refuse))
-    monkeypatch.setattr("pebbletools.invariants.construct_optimal_path_distribution",
-                        refuse)
+    monkeypatch.setattr("pebbletools.cli.construct_optimal_distribution", refuse)
     code, out, err = run(capsys, "fopt", f"{family}:1000001", "--construct")
     assert (code, out) == (3, "")
     assert err == "size cap exceeded: 1000001 vertices exceeds cap 1000000\n"
@@ -365,6 +363,45 @@ def test_verify_builds_no_row_over_the_cap(capsys, monkeypatch):
     assert out.splitlines()[6] == "6,4,,false"
     assert err.splitlines()[0] == "n=6: 6 vertices exceeds cap 5"
     assert built == [1, 2, 3, 4, 5]
+
+
+def test_verify_writes_rows_past_the_cap_that_it_holds_none_of(capsys):
+    # every row is past the cap, so the cli holds no row, yet the JSON
+    # lists each one in the one layout of --json
+    code, out, err = run(capsys, "verify", "path", "--max-n", "3",
+                         "--max-vertices", "0", "--json")
+    assert code == 3
+    assert err == "".join(f"n={n}: {n} vertices exceeds cap 0\n"
+                          for n in (1, 2, 3))
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert payload["result"] == {"all_match": False, "rows": [
+        {"brute_force": None, "error": f"{n} vertices exceeds cap 0",
+         "formula": f, "match": False, "n": n} for n, f in ((1, 1), (2, 2),
+                                                            (3, 2))]}
+
+
+@pytest.mark.parametrize("output", [["--json"], ["--csv"], []],
+                         ids=["json", "csv", "table"])
+def test_verify_memory_does_not_grow_with_rows_past_the_cap(output):
+    """3,000 rows past the vertex cap, written to a sink that keeps
+    nothing, peak under 512 KiB of Python allocations in each output
+    form: the rows past the cap are made as they are written, not held
+    (holding them took 1.6 to 5.0 MiB)."""
+    class Sink(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    argv = ["verify", "path", "--max-vertices", "3", *output, "--max-n"]
+    with contextlib.redirect_stdout(Sink()), contextlib.redirect_stderr(Sink()):
+        main([*argv, "10"])  # warm up, untraced
+        tracemalloc.start()
+        try:
+            assert main([*argv, "3000"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 512 * 1024, peak
 
 
 def test_verify_budget_annotates_and_exits_3(capsys):

@@ -16,10 +16,8 @@ from pebbletools import (
     canonical_family,
     cartesian_product,
     compositions_array,
-    construct_optimal_cycle_distribution,
-    construct_optimal_path_distribution,
-    formula_fopt_cycle,
-    formula_fopt_path,
+    construct_optimal_distribution,
+    formula_fopt,
     graham_optimal_check,
     is_cycle_canonical,
     is_path_canonical,
@@ -188,6 +186,13 @@ def _neighbour_reaches_all(g, rows):
                 for t in range(g.n)) for row, pile in zip(rows, piles)]
 
 
+def _covered(dist, row):
+    """The accept filter's cover, per row: every target t has a single pile
+    of at least 2^dist(v, t) pebbles."""
+    return all(any(c >= 2 ** dist[t][v] for v, c in enumerate(row) if c)
+               for t in range(len(row)))
+
+
 def test_layer_masks_match_per_row_definitions():
     """The scanner's reject and accept masks agree with their per-row
     definitions on every row: reject (an empty target none of whose
@@ -214,9 +219,7 @@ def test_layer_masks_match_per_row_definitions():
                                                 for v in range(g.n))
         for k in range(max_k + 1):
             rows = compositions_array(k, g.n)
-            accepts = [all(any(c >= 2 ** dist[t][v]
-                               for v, c in enumerate(row) if c)
-                           for t in range(g.n))
+            accepts = [_covered(dist, row)
                        or all(_fold(row, t, schedule) >= 1 for t in range(g.n))
                        for row in map(tuple, rows.tolist())]
             assert _neighbour_screen(g, k)(rows).tolist() \
@@ -226,6 +229,29 @@ def test_layer_masks_match_per_row_definitions():
                 assert accepts == [is_solvable(g, Distribution(row),
                                                max_vertices=g.n)
                                    for row in rows.tolist()]
+
+
+def test_accept_filter_cover_alone_is_its_definition(monkeypatch):
+    """With a fold that accepts no row, the accept filter's mask is its
+    cover alone: every target has a single pile of at least 2^dist(v, t),
+    a pile of exactly 2^dist included.  The fold re-accepts every row the
+    cover misses, so only this case pins the cover's threshold; the stars
+    of 9 and 65 vertices put targets in a second and a ninth byte."""
+    monkeypatch.setattr("pebbletools.invariants._fold_verdict",
+                        lambda g: lambda chunk: np.zeros(len(chunk), dtype=bool))
+    stars = [Graph(n, [(n - 1, v) for v in range(n - 1)]) for n in (9, 65)]
+    cases = [(g, 6) for g in [cartesian_product(make_path(2), make_path(3)),
+                              Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+                              *_paths_and_cycles(7)]]
+    for g, max_k in cases + [(g, 2) for g in stars]:
+        dist = [g.distances_from(t) for t in range(g.n)]
+        covered = 0
+        for k in range(max_k + 1):
+            rows = compositions_array(k, g.n)
+            want = [_covered(dist, row) for row in rows.tolist()]
+            assert _accept_filter(g, k)(rows).tolist() == want
+            covered += sum(want)
+        assert covered
 
 
 def test_reject_filter_depth_cap_only_adds_rows():
@@ -502,11 +528,11 @@ def test_fold_is_max_pebbles_to_on_trees(g):
 
 def test_formula_values():
     for n, want in PATH_VALUES.items():
-        assert formula_fopt_path(n) == want
+        assert formula_fopt("path", n) == want
     for n, want in CYCLE_VALUES.items():
-        assert formula_fopt_cycle(n) == want
+        assert formula_fopt("cycle", n) == want
     with pytest.raises(ValueError):
-        formula_fopt_cycle(2)
+        formula_fopt("cycle", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,34 +540,36 @@ def test_formula_values():
 
 
 def test_construction_frozen_examples():
-    assert construct_optimal_path_distribution(5).counts == (0, 2, 0, 1, 1)
-    assert construct_optimal_path_distribution(6).counts == (0, 2, 0, 0, 2, 0)
-    assert construct_optimal_cycle_distribution(7).counts == (0, 2, 0, 0, 2, 0, 1)
-    assert construct_optimal_path_distribution(1).counts == (1,)
-    assert construct_optimal_path_distribution(2).counts == (1, 1)
+    assert construct_optimal_distribution("path", 5).counts == (0, 2, 0, 1, 1)
+    assert construct_optimal_distribution("path", 6).counts == (0, 2, 0, 0, 2, 0)
+    assert construct_optimal_distribution("cycle", 7).counts \
+        == (0, 2, 0, 0, 2, 0, 1)
+    assert construct_optimal_distribution("path", 1).counts == (1,)
+    assert construct_optimal_distribution("path", 2).counts == (1, 1)
 
 
 def test_construction_sizes_match_formula():
     for n in range(1, 31):
-        assert construct_optimal_path_distribution(n).size == formula_fopt_path(n)
+        assert construct_optimal_distribution("path", n).size \
+            == formula_fopt("path", n)
     for n in range(3, 31):
-        assert construct_optimal_cycle_distribution(n).size == formula_fopt_cycle(n)
+        assert construct_optimal_distribution("cycle", n).size \
+            == formula_fopt("cycle", n)
 
 
 def test_constructions_refuse_bad_orders():
     with pytest.raises(ValueError) as info:
-        construct_optimal_cycle_distribution(2)
+        construct_optimal_distribution("cycle", 2)
     assert str(info.value) == "cycle needs at least 3 vertices, got 2"
-    # the path's closed form and its construction share the one order check
-    for closed_form in (formula_fopt_path, construct_optimal_path_distribution):
+    # the closed form and the construction share the one order check
+    for closed_form in (formula_fopt, construct_optimal_distribution):
         with pytest.raises(ValueError) as info:
-            closed_form(0)
+            closed_form("path", 0)
         assert str(info.value) == "path needs at least 1 vertex, got 0"
     # no list can index an order over sys.maxsize
-    for construct in (construct_optimal_path_distribution,
-                      construct_optimal_cycle_distribution):
+    for family in ("path", "cycle"):
         with pytest.raises(SizeLimitError) as info:
-            construct(sys.maxsize + 1)
+            construct_optimal_distribution(family, sys.maxsize + 1)
         assert str(info.value) == (f"{sys.maxsize + 1} vertices exceeds cap "
                                    f"{sys.maxsize}")
 
@@ -549,10 +577,10 @@ def test_constructions_refuse_bad_orders():
 def test_constructions_solvable_small():
     for n in range(1, 13):
         g = make_path(n)
-        assert is_solvable(g, construct_optimal_path_distribution(n))
+        assert is_solvable(g, construct_optimal_distribution("path", n))
     for n in range(3, 13):
         g = make_cycle(n)
-        assert is_solvable(g, construct_optimal_cycle_distribution(n))
+        assert is_solvable(g, construct_optimal_distribution("cycle", n))
 
 
 # ---------------------------------------------------------------------------
@@ -903,8 +931,8 @@ def test_pebbling_number_vertex_cap():
 
 
 def test_product_distribution_counts_multiply():
-    dg = construct_optimal_path_distribution(3)
-    dh = construct_optimal_path_distribution(3)
+    dg = construct_optimal_distribution("path", 3)
+    dh = construct_optimal_distribution("path", 3)
     prod = product_distribution(dg, dh)
     assert prod.counts == (0, 0, 0, 0, 4, 0, 0, 0, 0)
     assert prod.size == dg.size * dh.size
