@@ -18,14 +18,16 @@ the screen keeps:
   the neighbour screen, the lemma in `engine._fold` read as a bound.  An
   empty vertex t none of whose neighbours u has a potential
   sum(c_v * 2^-d_{G-t}(v, u)) of at least 2 in G - t is never reached, so
-  the distribution is unsolvable (one matmul per neighbour slot, weighing
-  each v by its distance to t through u, that depth capped so that every
-  sum is an exact float64 integer).  The engine's `is_solvable` is the
-  verdict on every graph.  On paths and cycles the screen keeps only
-  solvable rows below the depth cap, so the engine sees the returned row
-  alone; on the canonically indexed path and cycle the family's orbit
-  test (`is_path_canonical`, `is_cycle_canonical`) first drops every row
-  that is not its orbit's representative.
+  the distribution is unsolvable (one matmul per chunk over every
+  neighbour slot, weighing each v by its distance to t through u: in
+  float32 where every sum is an exact float32 integer, else in float64,
+  that distance capped so that every sum is an exact float64 integer).
+  The engine's `is_solvable` is the verdict on every graph.  On paths
+  and cycles the screen keeps only solvable rows below the depth cap, so
+  the engine sees the returned row alone; on the canonically indexed
+  path and cycle the family's orbit test (`is_path_canonical`,
+  `is_cycle_canonical`) first drops every row that is not its orbit's
+  representative.
 * the search for an unsolvable row (`pebbling_number`) keeps the rows
   the accept filter leaves.  That filter accepts a row in which every
   vertex has a single pile of 2^dist pebbles (one OR per vertex of a
@@ -187,26 +189,30 @@ def _neighbour_screen(g: Graph, k: int):
     from v to t through u (`_neighbour_distances`), 0 on t and
     1 + d_{G-t}(v, u) on u's component, t is reached when
     sum(c_v * 2^-d) >= 1, that is c_t >= 1 or u's potential reaches 2.
-    Row t weighs 2^(C - min(d, C)) there against the one threshold 2^C;
-    C = min(depth, 53 - k.bit_length()) caps the largest d, so a size-k
-    row weighs less than 2^53 and every float64 product and sum is an
-    exact integer.  A capped weight only grows, so the mask keeps every
-    row the uncapped test keeps; below the cap (every search at the
-    default caps) it is the uncapped test itself.  Each slot is one n x n
-    matmul over the chunk, ORed into one mask of targets by rows.
+    Row t weighs 2^(C - min(d, C)) there against the one threshold 2^C.
+    The float type holds every integer below 2^bits exactly: float32
+    (bits = 24) when depth + k.bit_length() <= 24, else float64
+    (bits = 53).  C = min(depth, bits - k.bit_length()) caps the largest
+    d, so a size-k row weighs less than 2^bits and every product and sum
+    is an exact integer, in any summation order.  A capped weight only
+    grows, so the mask keeps every row the uncapped test keeps; below the
+    cap (every search at the default caps, all in float32) it is the
+    uncapped test itself.  The slots are stacked into one (slots * n) x n
+    matrix, so a chunk costs one matmul, ORed over slots into one mask
+    of targets by rows.
     """
     dist = g.derived(_neighbour_distances)
-    cap = min(int(dist.max()), 53 - k.bit_length())
-    # Per slot j, row t weighs 2^(cap - min(d, cap)) on v at d >= 0, else 0.
-    blocks = np.where(dist < 0, 0.0, np.ldexp(1.0, cap - np.minimum(dist, cap)))
-    threshold = float(1 << cap)
+    depth = int(dist.max())
+    dtype = np.float32 if depth + k.bit_length() <= 24 else np.float64
+    cap = min(depth, np.finfo(dtype).nmant + 1 - k.bit_length())
+    # Row (j, t) weighs 2^(cap - min(d, cap)) on v at d >= 0, else 0.
+    weights = np.where(dist < 0, 0, np.ldexp(1.0, cap - np.minimum(dist, cap)))
+    weights = weights.reshape(-1, g.n).astype(dtype)
+    threshold = dtype(1 << cap)
 
     def reaches_all(chunk: np.ndarray) -> np.ndarray:
-        cols = chunk.T.astype(np.float64)
-        reached = blocks[0] @ cols >= threshold
-        for block in blocks[1:]:
-            reached |= block @ cols >= threshold
-        return reached.all(axis=0)
+        reached = weights @ chunk.T.astype(dtype) >= threshold
+        return reached.reshape(len(dist), g.n, -1).any(axis=0).all(axis=0)
 
     return reaches_all
 
@@ -215,7 +221,8 @@ def _neighbour_distances(g: Graph) -> np.ndarray:
     """dist[j, t, v], the distance from v to t through u, u the j-th
     neighbour of t: 0 on t, 1 + d_{G-t}(v, u) on u's component, read off
     `engine._fold_schedule`'s BFS trees, and -1 elsewhere.  A target with
-    fewer neighbours than the most repeats its last one; a vertex with
+    fewer neighbours than the most repeats its last one, so the screen's
+    stacked matrix has slots * n rows whatever the degrees; a vertex with
     none (n = 1) has one row, 0 on itself."""
     per_target = []
     for t, roots in enumerate(g.derived(_fold_schedule)):

@@ -41,14 +41,12 @@ def _number(path: Path) -> int:
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
 def test_bench_file_names_an_earlier_previous(path):
-    """`previous` names an existing BENCH file of a lower number; only the
-    first BENCH file has none."""
+    """`previous` names the BENCH file with the highest number below this
+    one's, so the files form one chain; only the first BENCH file has
+    none."""
     previous = json.loads(path.read_text())["previous"]
-    if previous is None:
-        assert path == min(BENCH_FILES, key=_number)
-    else:
-        assert (ROOT / previous) in BENCH_FILES
-        assert _number(ROOT / previous) < _number(path)
+    earlier = [p for p in BENCH_FILES if _number(p) < _number(path)]
+    assert previous == (max(earlier, key=_number).name if earlier else None)
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])

@@ -255,11 +255,12 @@ def test_accept_filter_cover_alone_is_its_definition(monkeypatch):
 
 
 def test_reject_filter_depth_cap_only_adds_rows():
-    """Once k * 2^(depth + 1) >= 2^53 the reject filter caps the depth at
-    C = 52 - k.bit_length(), and a vertex farther than C from u in G - t
-    weighs 1.  On path:15 (depth 13 in G - t) at k = 2^40, C = 11: of the
-    single-pile rows 2^j on v (j <= 16) it keeps all 94 that are solvable
-    (j at least v's eccentricity), and 6 more, 2^12 on vertices 0, 1, 13,
+    """Once depth + k.bit_length() > 53 the reject filter, in float64,
+    caps the depth at C = 53 - k.bit_length(), and a vertex at distance C
+    or more from t through u weighs 1.  On path:15 (depth 14 through a
+    neighbour) at k = 2^40, C = 12: of the single-pile rows 2^j on v
+    (j <= 16) it keeps all 94 that are solvable (j at least v's
+    eccentricity), and 6 more, 2^12 on vertices 0, 1, 13,
     14 and 2^13 on vertices 0 and 14.  One is 2^12 on the last vertex,
     whose potential toward vertex 1 in G - 0 is 2^12 / 2^13 = 1/2 < 2, so
     the uncapped test rejects it."""
@@ -274,6 +275,45 @@ def test_reject_filter_depth_cap_only_adds_rows():
     assert kept[12 * 15 + 14] and not exact[12 * 15 + 14]
     assert not _neighbour_reaches_all(g, [rows[12 * 15 + 14].tolist()])[0]
     assert sum(kept) == 100
+
+
+def test_reject_filter_takes_float64_past_float32s_integers():
+    """The reject filter runs in float32 only when depth + k.bit_length()
+    <= 24.  On path:30 (depth 29), 16,383 pebbles on vertex 14 and 32,767
+    on vertex 29 (k = 49,150) give vertex 1 a potential of 2 - 2^-28
+    toward target 0 in G - 0, so the row is unsolvable.  Its weighted sum
+    there, 16,383 * 2^15 + 32,767 = 2^29 - 1, rounds to the threshold 2^29
+    in float32; only float64 holds it and rejects the row."""
+    g = make_path(30)
+    row = np.zeros((1, 30), dtype=np.int64)
+    row[0, 14], row[0, 29] = 16383, 32767
+    assert not _neighbour_reaches_all(g, row.tolist())[0]
+    assert not _neighbour_screen(g, int(row.sum()))(row)[0]
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_reject_filter_matches_its_definition_on_both_sides_of_float32(family):
+    """On path:21 and cycle:21 (depth 20 through a neighbour) the reject
+    filter runs in float32 at k = 15 (20 + 4 = 24) and in float64 at
+    k = 16.  Rows near the optimal distribution of size 14 (3 pebbles
+    moved at random, then 1 or 2 added) get the per-row definition's
+    verdict on both sides, and both verdicts occur."""
+    g = make_path(21) if family == "path" else make_cycle(21)
+    rng = random.Random(family)
+    for added in (1, 2):
+        rows = []
+        for _ in range(400):
+            row = list(construct_optimal_distribution(family, 21).counts)
+            for _ in range(3):
+                row[rng.choice([v for v, c in enumerate(row) if c])] -= 1
+                row[rng.randrange(21)] += 1
+            for _ in range(added):
+                row[rng.randrange(21)] += 1
+            rows.append(row)
+        want = _neighbour_reaches_all(g, rows)
+        assert 0 < sum(want) < len(rows)
+        assert _neighbour_screen(g, 14 + added)(
+            np.array(rows, dtype=np.int16)).tolist() == want
 
 
 def test_neighbour_screen_is_the_fold_on_paths_and_cycles():
