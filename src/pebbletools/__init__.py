@@ -12,9 +12,8 @@ Each module declares its public names in its own `__all__`; the package
 root re-exports them.
 """
 
-from . import engine, enumeration, errors, graphs, invariants, surgery
+from . import engine, errors, graphs, invariants, surgery
 from .engine import *  # noqa: F401,F403
-from .enumeration import *  # noqa: F401,F403
 from .errors import *  # noqa: F401,F403
 from .graphs import *  # noqa: F401,F403
 from .invariants import *  # noqa: F401,F403
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = ["__version__"]
 __all__ += engine.__all__
-__all__ += enumeration.__all__
 __all__ += errors.__all__
 __all__ += graphs.__all__
 __all__ += invariants.__all__

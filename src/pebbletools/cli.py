@@ -22,8 +22,9 @@ too long for int() and a product nested deeper than the stack allows are
 parse errors, not a Python ValueError or RecursionError; an error quotes
 at most `errors._QUOTE` characters of a spec, a --dist, a number, a
 `file:` line or a `file:` path the OS refuses.  Every spec a command
-builds is parsed under the command's vertex cap, so a `path:`, `cycle:`,
-`file:` or `product(` spec over it is refused before it is built.
+builds is parsed under the command's vertex cap, and every `verify` row
+is checked against it, so a `path:`, `cycle:`, `file:` or `product(`
+spec or a row's order over it is refused before its graph is built.
 `fopt --construct` builds no graph: it takes `path:N` or `cycle:N` and
 reads the order alone; an order over 10**6 is a size cap error, refused
 before its witness is built.
@@ -332,7 +333,8 @@ def _verify_row(args: argparse.Namespace, n: int) -> dict:
     formula = formula_fopt(args.family, n)
 
     def search():
-        g = parse_graph_spec(f"{args.family}:{n}", args.caps["max_vertices"])
+        _check_cap(n, args.caps["max_vertices"])
+        g = (make_path if args.family == "path" else make_cycle)(n)
         report = optimal_pebbling_number(g, max_distributions=args.budget_states,
                                          **args.caps)
         return {"brute_force": report.value, "match": report.value == formula,

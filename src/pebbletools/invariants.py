@@ -8,11 +8,17 @@ on the decomposition n = 3t + r; the brute-force searches
 every distribution.  The test suite holds the two routes against each
 other.
 
-The brute-force searches enumerate distributions in colexicographic order,
-one size-k layer at a time, each layer built from the one before it
-(`compositions_array` with `previous`).  Each search has one screen, run
-on a whole chunk of rows at a time, and one verdict, asked of each row
-the screen keeps:
+The brute-force searches enumerate distributions in colexicographic order
+(the last coordinate varies slowest) and report the first witness under
+it, which pins down every output byte for byte.  They walk one size-k
+layer at a time, each built from the one before it (`compositions_array`
+with `previous`): in colex order the layer of total k is the row
+(k, 0, ..., 0) followed, for m = 1 .. n - 1, by the rows whose highest
+occupied index is m; those are the first C(k - 1 + m, m) rows of layer
+k - 1 with one pebble added at m, so a layer costs 2(n - 1) slice
+operations on the one before it.  A layer is read in chunks of `_CHUNK`
+rows.  Each search has one screen, run on a whole chunk at a time, and
+one verdict, asked of each row the screen keeps:
 
 * the search for a solvable row (`optimal_pebbling_number`) screens with
   the neighbour screen, the lemma in `engine._fold` read as a bound.  An
@@ -25,9 +31,10 @@ the screen keeps:
   The engine's `is_solvable` is the verdict on every graph.  On paths
   and cycles the screen keeps only solvable rows below the depth cap, so
   the engine sees the returned row alone; on the canonically indexed
-  path and cycle the family's orbit test (`is_path_canonical`,
-  `is_cycle_canonical`) first drops every row that is not its orbit's
-  representative.
+  path and cycle the family's orbit test, one row at a time, first drops
+  every row that is not its orbit's representative: under the path's
+  reversal (`is_path_canonical`) or the cycle's rotations and
+  reflections (`is_cycle_canonical`).
 * the search for an unsolvable row (`pebbling_number`) keeps the rows
   the accept filter leaves.  That filter accepts a row in which every
   vertex has a single pile of 2^dist pebbles (one OR per vertex of a
@@ -53,9 +60,12 @@ __all__ = [
     "MAX_PEBBLING_VALUE",
     "MAX_PEBBLING_VERTICES",
     "NumberReport",
+    "compositions_array",
     "construct_optimal_distribution",
     "formula_fopt",
     "graham_optimal_check",
+    "is_cycle_canonical",
+    "is_path_canonical",
     "optimal_pebbling_number",
     "pebbling_number",
     "product_distribution",
@@ -75,7 +85,6 @@ from .engine import (
     _fold_schedule,
     is_solvable,
 )
-from .enumeration import compositions_array, is_cycle_canonical, is_path_canonical
 from .errors import BudgetError, _check_cap
 from .graphs import (Graph, _check_family_order, canonical_family,
                      cartesian_product)
@@ -164,6 +173,72 @@ def construct_optimal_distribution(family: str, n: int) -> Distribution:
     _check_family_order(family, n)
     t, r = divmod(n, 3)
     return Distribution((0, 2, 0) * t + (1,) * r)
+
+
+# ---------------------------------------------------------------------------
+# colex layers and orbit representatives
+
+
+def compositions_array(total: int, length: int,
+                       previous: np.ndarray | None = None) -> np.ndarray:
+    """All compositions as an int16 array, rows in colexicographic order.
+    A length under 1 or a negative total raises ValueError, a total over
+    the int16 range SizeLimitError.
+
+    Built layer by layer from total 0 (`_next_layer`).  `previous`, if
+    given, must be compositions_array(total - 1, length); the call is then
+    one step.  Its shape, dtype and first row are checked, its other rows
+    are not, so anything else raises ValueError or yields wrong rows."""
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    if total < 0:
+        raise ValueError("total must be non-negative")
+    _check_cap(total, np.iinfo(np.int16).max, "pebbles")
+    if previous is None:
+        rows = np.zeros((1, length), dtype=np.int16)
+        for k in range(1, total + 1):
+            rows = _next_layer(rows, k)
+        return rows
+    if not (total >= 1 and isinstance(previous, np.ndarray)
+            and previous.dtype == np.int16
+            and previous.shape == (comb(total + length - 2, length - 1), length)
+            and previous[0, 0] == total - 1 and not previous[0, 1:].any()):
+        raise ValueError("previous must be compositions_array(total - 1, length)")
+    return _next_layer(previous, total)
+
+
+def _next_layer(previous: np.ndarray, total: int) -> np.ndarray:
+    """Layer `total` from layer total - 1 (`previous`) by the recurrence in
+    the module docstring.  The rows a block takes from `previous` are zero
+    past m, so each block is one copy of whole rows and one column add."""
+    length = previous.shape[1]
+    out = np.empty((comb(total + length - 1, length - 1), length), dtype=np.int16)
+    out[0] = 0
+    out[0, 0] = total
+    start = 1
+    for m in range(1, length):
+        size = comb(total - 1 + m, m)
+        block = out[start:start + size]
+        block[...] = previous[:size]
+        block[:, m] += 1
+        start += size
+    return out
+
+
+def is_path_canonical(counts: tuple[int, ...]) -> bool:
+    """Representative of a reversal orbit: not lexicographically above its mirror."""
+    return counts <= counts[::-1]
+
+
+def is_cycle_canonical(counts: tuple[int, ...]) -> bool:
+    """Representative of a rotation/reflection orbit: lexicographic minimum."""
+    n = len(counts)
+    # Every rotation of the row or of its mirror is a window of one of these.
+    for doubled in (counts * 2, counts[::-1] * 2):
+        for s in range(n):
+            if doubled[s:s + n] < counts:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

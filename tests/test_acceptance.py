@@ -17,6 +17,7 @@ from pebbletools import (
     NotApplicableError,
     cartesian_product,
     collapse_two_pebble_block_path,
+    compositions_array,
     construct_optimal_distribution,
     cycle_reduce_big_pile,
     cycle_remove_202_or_220,
@@ -24,7 +25,6 @@ from pebbletools import (
     graham_optimal_check,
     is_reachable,
     is_solvable,
-    iter_compositions,
     make_cycle,
     make_path,
     max_pebbles_to,
@@ -54,7 +54,7 @@ def brute_fopt_cycle(n: int) -> int:
 
 def solvable_distributions(g, max_size):
     for size in range(1, max_size + 1):
-        for counts in iter_compositions(size, g.n):
+        for counts in compositions_array(size, g.n).tolist():
             d = Distribution(counts)
             if is_solvable(g, d):
                 yield d
@@ -250,7 +250,7 @@ def test_criterion_11_engine_self_consistency():
     for n in range(1, 8):
         g = make_path(n)
         for size in range(0, 9):
-            for counts in iter_compositions(size, n):
+            for counts in compositions_array(size, n).tolist():
                 d = Distribution(counts)
                 for t in range(n):
                     greedy_checks += 1
@@ -262,7 +262,7 @@ def test_criterion_11_engine_self_consistency():
     dominance_checks = 0
     for g in (make_path(4), make_cycle(5)):
         for size in range(0, 7):
-            for counts in iter_compositions(size, g.n):
+            for counts in compositions_array(size, g.n).tolist():
                 d = Distribution(counts)
                 for t in range(g.n):
                     report = is_reachable(g, d, t)

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -22,7 +23,6 @@ from pebbletools import (
     is_cycle_canonical,
     is_path_canonical,
     is_solvable,
-    iter_compositions,
     make_cycle,
     make_path,
     max_pebbles_to,
@@ -57,15 +57,26 @@ STAR_70 = Graph(70, [(0, v) for v in range(1, 70)])
 
 
 # ---------------------------------------------------------------------------
-# enumeration order
+# colex order
+
+
+def _colex_reference(total, length):
+    """The compositions of total into length parts by definition: each
+    choice of length - 1 bar positions among total + length - 1 slots
+    gives the parts as the runs of other slots between the bars.  Sorted
+    colexicographically, that is by the reversed tuple."""
+    rows = []
+    for bars in combinations(range(total + length - 1), length - 1):
+        edges = (-1, *bars, total + length - 1)
+        rows.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return sorted(rows, key=lambda row: row[::-1])
 
 
 def test_compositions_colex_order():
-    got = list(iter_compositions(2, 2))
-    assert got == [(2, 0), (1, 1), (0, 2)]
+    assert compositions_array(2, 2).tolist() == [[2, 0], [1, 1], [0, 2]]
 
 
-def test_compositions_array_matches_iterator():
+def test_compositions_array_matches_colex_reference():
     """Built from total 0, and in one step from the layer before it."""
     for total in range(9):
         for length in range(1, 9):
@@ -76,7 +87,7 @@ def test_compositions_array_matches_iterator():
             for rows in built:
                 assert rows.dtype == np.int16
                 assert [tuple(r) for r in rows.tolist()] \
-                    == list(iter_compositions(total, length))
+                    == _colex_reference(total, length)
 
 
 def test_compositions_array_refuses_a_wrong_previous():
@@ -104,17 +115,20 @@ def test_compositions_array_refuses_a_wrong_previous():
 
 def test_composition_counts():
     # compositions of k into n parts: C(k+n-1, n-1)
-    assert len(list(iter_compositions(5, 4))) == 56
+    assert len(compositions_array(5, 4)) == 56
 
 
 @pytest.mark.parametrize("compositions", [
-    compositions_array, lambda t, n: list(iter_compositions(t, n)),
-], ids=["compositions_array", "iter_compositions"])
+    compositions_array,
+    lambda t, n: compositions_array(t, n, np.zeros((1, 1), dtype=np.int16)),
+], ids=["compositions_array", "before_previous"])
 @pytest.mark.parametrize("total,length,message", [
     (3, 0, "length must be at least 1"),
     (-1, 3, "total must be non-negative"),
 ])
 def test_compositions_reject_bad_arguments(compositions, total, length, message):
+    """Built from total 0, or in one step from a `previous` that is wrong
+    too: the refusal of the arguments comes before that of `previous`."""
     with pytest.raises(ValueError) as info:
         compositions(total, length)
     assert str(info.value) == message
@@ -129,7 +143,13 @@ def test_compositions_array_refuses_totals_past_int16():
 
 
 def test_compositions_of_long_rows_do_not_recurse():
-    assert sum(1 for _ in iter_compositions(1, 5000)) == 5000
+    """Rows far longer than the recursion limit, built from total 0 and in
+    one step: row m of layer 1 holds its one pebble on vertex m."""
+    for previous in (None, compositions_array(0, 5000)):
+        rows = compositions_array(1, 5000, previous)
+        assert rows.shape == (5000, 5000)
+        assert rows.sum() == 5000
+        assert np.array_equal(rows.argmax(axis=1), np.arange(5000))
 
 
 def test_canonical_representative_predicates():
@@ -556,7 +576,7 @@ def test_fold_is_max_pebbles_to_on_trees(g):
     every row with k <= 6 and every target."""
     schedule = _fold_schedule(g)
     for k in range(7):
-        for row in iter_compositions(k, g.n):
+        for row in compositions_array(k, g.n).tolist():
             d = Distribution(row)
             assert [_fold(row, t, schedule) for t in range(g.n)] \
                 == [max_pebbles_to(g, d, t) for t in range(g.n)], row
@@ -933,7 +953,7 @@ def test_searches_match_row_by_row_reference(g):
     pi witness the first unsolvable row of layer pi - 1, and layer pi has
     no unsolvable row."""
     def rows(k):
-        return [Distribution(row) for row in iter_compositions(k, g.n)]
+        return [Distribution(row) for row in compositions_array(k, g.n).tolist()]
 
     fopt = optimal_pebbling_number(g)
     for k in range(1, fopt.value):

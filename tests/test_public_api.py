@@ -5,6 +5,7 @@ CLI examples run against it."""
 
 import ast
 import importlib
+import pkgutil
 import re
 import shlex
 import types
@@ -16,7 +17,8 @@ import pebbletools
 from pebbletools.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
-MODULES = ("engine", "enumeration", "errors", "graphs", "invariants", "surgery")
+MODULES = sorted(m.name for m in pkgutil.iter_modules(pebbletools.__path__)
+                 if m.name != "cli")
 
 
 def _top_level_bindings(module) -> set[str]:

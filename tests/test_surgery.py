@@ -17,10 +17,10 @@ from pebbletools import (
     NotApplicableError,
     cartesian_product,
     collapse_two_pebble_block_path,
+    compositions_array,
     cycle_reduce_big_pile,
     cycle_remove_202_or_220,
     is_solvable,
-    iter_compositions,
     make_cycle,
     make_path,
     max_pebbles_to,
@@ -31,7 +31,7 @@ from pebbletools import (
 
 def solvable_distributions(g, max_size):
     for size in range(1, max_size + 1):
-        for counts in iter_compositions(size, g.n):
+        for counts in compositions_array(size, g.n).tolist():
             d = Distribution(counts)
             if is_solvable(g, d):
                 yield d
@@ -414,7 +414,7 @@ def test_singleton_keeps_left_transport_past_removed_vertex():
     for n in range(4, 7):
         g = make_path(n)
         for size in range(1, 7):
-            for counts in iter_compositions(size, n):
+            for counts in compositions_array(size, n).tolist():
                 d = Distribution(counts)
                 for i in range(1, n - 1):
                     if counts[i] != 1:
