@@ -538,16 +538,25 @@ def test_pebbling_number_asks_no_engine_on_trees_and_cycles(monkeypatch):
     (cartesian_product(make_path(2), make_path(3)), 50),
 ], ids=["path6", "cycle6", "star5", "grid_2x3"])
 def test_screen_only_picks_rows(monkeypatch, g, engine_calls):
-    """With the neighbour screen made to keep every row, the search for a
-    solvable row returns the same value, witness and rows examined: the
-    screen only spares the engine rows whose verdict is unsolvable."""
+    """With the neighbour screen and its node bound made to keep every
+    row, the search for a solvable row returns the same value, witness and
+    rows examined: the screen only spares the engine rows whose verdict
+    is unsolvable.  Also with walk constants so small that every layer
+    past the first few is walked in blocks of 64 rows."""
     expected = optimal_pebbling_number(g)
     monkeypatch.setattr(
         "pebbletools.invariants._neighbour_screen",
         lambda g, k: lambda chunk: np.ones(chunk.shape[0], dtype=bool))
-    calls = _count_engine_calls(monkeypatch)
-    assert optimal_pebbling_number(g) == expected
-    assert len(calls) == engine_calls
+    monkeypatch.setattr(
+        "pebbletools.invariants._neighbour_bound",
+        lambda g, k: lambda rows, rest, m: np.ones(len(rest), dtype=bool))
+    for block, width in ((None, None), (64, 16)):
+        if block is not None:
+            monkeypatch.setattr("pebbletools.invariants._BLOCK", block)
+            monkeypatch.setattr("pebbletools.invariants._WIDTH", width)
+        calls = _count_engine_calls(monkeypatch)
+        assert optimal_pebbling_number(g) == expected
+        assert len(calls) == engine_calls
 
 
 def _fold_graphs(trees_only=False):
